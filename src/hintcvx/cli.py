@@ -17,7 +17,6 @@ verbosity comes from the ``HINTCVX_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -36,6 +35,7 @@ from .grid import (
     NEUMANN_ZERO,
     RadialGrid,
     Square2DGrid,
+    write_node_csv,
 )
 from .principle import (
     VERDICT_CERTIFIED,
@@ -43,6 +43,7 @@ from .principle import (
     default_radius,
     forcing_threshold_probe,
     mu_star,
+    non_monotone_flips,
     radius_window,
     run_problem,
 )
@@ -196,7 +197,7 @@ def build_solver_config(doc, path: str = "solver") -> SolverConfig:
     _check_keys(doc, fields, set(), path)
     kwargs = {}
     for key, val in doc.items():
-        if key in ("max_iters", "cg_max_iters", "seed", "path_nodes"):
+        if key in ("max_iters", "seed", "path_nodes"):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError(f"{path}.{key}", f"expected an integer, got {val!r}")
             kwargs[key] = val
@@ -249,21 +250,6 @@ def parse_config(path) -> RunConfig:
     return RunConfig(spec=spec, solver=solver, output_dir=output_dir, emit=emit)
 
 
-def _write_profile(path, spec: ProblemSpec, u0: GridFunction, v0: GridFunction | None) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        v0_vals = v0.values if v0 is not None else [""] * spec.grid.size
-        if isinstance(spec.grid, RadialGrid):
-            writer.writerow(["coord", "u0", "v0"])
-            for r, a, b in zip(spec.grid.nodes, u0.values, v0_vals):
-                writer.writerow([repr(r), repr(a), repr(b) if b != "" else ""])
-        else:
-            writer.writerow(["x", "y", "u0", "v0"])
-            xs, ys = spec.grid.nodes
-            for x, y, a, b in zip(xs, ys, u0.values, v0_vals):
-                writer.writerow([repr(x), repr(y), repr(a), repr(b) if b != "" else ""])
-
-
 def cmd_solve(args) -> int:
     try:
         run_cfg = parse_config(args.config)
@@ -291,7 +277,8 @@ def cmd_solve(args) -> int:
     if run_cfg.emit["trace"] and len(report.trace):
         report.trace.to_csv(out_dir / "trace.csv")
     if run_cfg.emit["profile"] and cert.u0 is not None:
-        _write_profile(out_dir / "profile.csv", run_cfg.spec, cert.u0, cert.v0)
+        columns = {"u0": cert.u0.values, "v0": cert.v0.values if cert.v0 is not None else None}
+        write_node_csv(out_dir / "profile.csv", run_cfg.spec.grid, columns)
 
     print(f"verdict: {cert.verdict}" + (f" ({cert.detail})" if cert.detail else ""))
     if cert.error is not None:
@@ -342,15 +329,13 @@ def cmd_probe_lambda(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"probe: {exc}", file=sys.stderr)
         return 1
-    ordered = sorted(evaluations)
-    flips = sum(1 for (_, ok1), (_, ok2) in zip(ordered, ordered[1:]) if (not ok1) and ok2)
     doc = {
         "lambda_hat": lam,
         "r": r,
         "certified_at_lambda": certified_at_amplitude(spec, r, solver, lam),
         "certified_at_2lambda": certified_at_amplitude(spec, r, solver, 2.0 * lam),
         "evaluations": len(evaluations),
-        "non_monotone_flips": flips,
+        "non_monotone_flips": non_monotone_flips(evaluations),
     }
     print(json.dumps(doc))
     return 0

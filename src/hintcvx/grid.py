@@ -206,17 +206,27 @@ class GridFunction:
 
     def to_csv(self, path) -> None:
         """Write (coordinates, value) columns."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if isinstance(self.grid, RadialGrid):
-                writer.writerow(["coord", "value"])
-                for r, v in zip(self.grid.nodes, self.values):
-                    writer.writerow([repr(r), repr(v)])
-            else:
-                writer.writerow(["x", "y", "value"])
-                xs, ys = self.grid.nodes
-                for x, y, v in zip(xs, ys, self.values):
-                    writer.writerow([repr(x), repr(y), repr(v)])
+        write_node_csv(path, self.grid, {"value": self.values})
+
+
+def write_node_csv(path, grid: Grid, columns: dict) -> None:
+    """Write one CSV row per node: the node coordinates (``coord`` on radial
+    grids, ``x,y`` on the square), then the named value columns.  Cells are
+    plain ``repr(float)`` numbers; a column given as ``None`` is left empty."""
+    if isinstance(grid, RadialGrid):
+        cols = {"coord": grid.nodes}
+    else:
+        xs, ys = grid.nodes
+        cols = {"x": xs, "y": ys}
+    cols.update(columns)
+    cells = [
+        [""] * grid.size if c is None else [repr(x) for x in np.asarray(c, dtype=float).tolist()]
+        for c in cols.values()
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        writer.writerows(zip(*cells))
 
 
 def zero_function(grid: Grid, bc: str = DIRICHLET_ZERO) -> GridFunction:

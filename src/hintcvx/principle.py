@@ -224,7 +224,6 @@ def step_ii_verify(
     spec: ProblemSpec,
     K: ConvexSet,
     u0: GridFunction,
-    cfg: SolverConfig,
     tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> tuple[GridFunction, bool, dict]:
     """Second pipeline stage: solve A v0 = Phi'(u0) and test v0 in K.
@@ -234,7 +233,7 @@ def step_ii_verify(
     membership test itself is the binding certificate.
     """
     rhs = phi_grad(spec, u0)
-    v0 = linear_solve(spec.operator, rhs, cfg)
+    v0 = linear_solve(spec.operator, rhs)
     in_k = contains(K, v0, tol)
     u0_h2 = spec.geometry.h2_norm(u0.values)
     v0_h2 = spec.geometry.h2_norm(v0.values)
@@ -374,7 +373,7 @@ def run_problem(
 
     try:
         cert.vi_residual = vi_residual(spec, K, u0, tol)
-        v0, in_k, diag = step_ii_verify(spec, K, u0, cfg, tol)
+        v0, in_k, diag = step_ii_verify(spec, K, u0, tol)
         cert.v0 = v0
         cert.v0_in_K = in_k
         cert.u0_h2_norm = diag["u0_h2"]
@@ -454,11 +453,11 @@ def forcing_threshold_probe(
     ``trace_out`` when provided).
     """
     cfg = cfg or SolverConfig()
+    evaluations = trace_out if trace_out is not None else []
 
     def certified(s: float) -> bool:
         ok = certified_at_amplitude(spec_template, r, cfg, s)
-        if trace_out is not None:
-            trace_out.append((s, ok))
+        evaluations.append((s, ok))
         return ok
 
     if not certified(0.0):
@@ -481,11 +480,15 @@ def forcing_threshold_probe(
         else:
             s_hi = mid
 
-    if trace_out is not None:
-        by_s = sorted(trace_out)
-        flips = sum(
-            1 for (s1, ok1), (s2, ok2) in zip(by_s, by_s[1:]) if (not ok1) and ok2
-        )
-        if flips:
-            logger.warning("forcing probe observed %d non-monotone certification flips", flips)
+    flips = non_monotone_flips(evaluations)
+    if flips:
+        logger.warning("forcing probe observed %d non-monotone certification flips", flips)
     return s_lo
+
+
+def non_monotone_flips(evaluations: list) -> int:
+    """Count the places where certification comes back on as the amplitude
+    grows: adjacent (s, ok) pairs, ordered by s, that go from failed to
+    certified."""
+    by_s = sorted(evaluations)
+    return sum(1 for (_, ok1), (_, ok2) in zip(by_s, by_s[1:]) if (not ok1) and ok2)

@@ -65,6 +65,22 @@ class TestSolveCommand:
         assert code == 1
         assert "problem.smoothing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["cg_tol", "cg_max_iters"])
+    def test_removed_cg_keys_rejected(self, tmp_path, capsys, key):
+        doc = base_config(tmp_path / "out")
+        doc["solver"][key] = 1e-9 if key == "cg_tol" else 100
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert f"solver.{key}" in capsys.readouterr().err
+
+    def test_profile_cells_are_plain_numbers(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "profile.csv").read_text().splitlines()[1:]
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.json")])
         assert code == 1

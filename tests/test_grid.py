@@ -80,6 +80,18 @@ class TestGridFunction:
         assert rows[0] == "coord,value"
         assert len(rows) == grid1d.size + 1
 
+    @pytest.mark.parametrize(
+        "grid", [hx.RadialGrid(n=5), hx.Square2DGrid(m=3)], ids=["radial", "square"]
+    )
+    def test_csv_cells_are_plain_numbers(self, tmp_path, grid):
+        path = tmp_path / "u.csv"
+        hx.GridFunction(grid, np.zeros(grid.size)).to_csv(path)
+        header, *rows = path.read_text().splitlines()
+        assert header == ("coord,value" if isinstance(grid, hx.RadialGrid) else "x,y,value")
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)
+
 
 class TestQuadrature:
     def test_interval_measure(self):

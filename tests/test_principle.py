@@ -9,6 +9,7 @@ from hintcvx.principle import (
     _amplitude_spec,
     certified_at_amplitude,
     default_radius,
+    non_monotone_flips,
     run_problem,
     step_ii_verify,
     strong_residual,
@@ -100,7 +101,7 @@ class TestStepII:
     def test_trivial_zero(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.0)
         K = hx.H2Ball(0.5, spec.operator, spec.geometry)
-        v0, in_k, diag = step_ii_verify(spec, K, spec.zero(), hx.SolverConfig())
+        v0, in_k, diag = step_ii_verify(spec, K, spec.zero())
         assert np.all(v0.values == 0.0)
         assert in_k
         assert diag["v0_h2"] == 0.0
@@ -111,7 +112,7 @@ class TestStepII:
         K = hx.H2Ball(1e-4, spec.operator, spec.geometry)
         vals = np.sin(np.pi * grid1d.nodes) * 10.0
         vals[0] = vals[-1] = 0.0
-        v0, in_k, diag = step_ii_verify(spec, K, spec.function(vals), hx.SolverConfig())
+        v0, in_k, diag = step_ii_verify(spec, K, spec.function(vals))
         assert not in_k
         assert diag["v0_h2"] > K.r
 
@@ -120,7 +121,7 @@ class TestStepII:
         K = hx.H2Ball(0.5, spec.operator, spec.geometry)
         vals = 0.01 * np.sin(np.pi * grid1d.nodes)
         vals[0] = vals[-1] = 0.0
-        _, _, diag = step_ii_verify(spec, K, spec.function(vals), hx.SolverConfig())
+        _, _, diag = step_ii_verify(spec, K, spec.function(vals))
         u0_h2 = diag["u0_h2"]
         expected = spec.C1 * (u0_h2**3.0 + spec.mu * u0_h2**0.5)
         assert diag["chain_bound"] == pytest.approx(expected)
@@ -161,6 +162,26 @@ class TestRunProblem:
         assert cert.positivity_min >= -1e-9
         assert cert.monotonicity_defect <= 1e-9
         assert cert.box_bound == pytest.approx(10 * np.max(np.abs(cert.u0.values)))
+
+    # fine grids where a stage-ii solve short of its 1e-9 contract would
+    # fail runs whose stage i converged
+    def test_neumann_radial_certifies_dim3_n801(self):
+        g = hx.RadialGrid(n=801, dim=3)
+        a = hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=3.0, a=a)
+        cert, report = run_problem(spec)
+        assert cert.error is None
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert report.converged
+
+    def test_concave_convex_certifies_dim1_n3201(self):
+        g = hx.RadialGrid(n=3201, dim=1)
+        star = hx.mu_star(1.0, 4.0, 1.5)
+        spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=star / 2)
+        cert, report = run_problem(spec)
+        assert cert.error is None
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert report.converged
 
     def test_empty_window_short_circuits(self, grid1d):
         star = hx.mu_star(1.0, 4.0, 1.5)
@@ -281,9 +302,7 @@ class TestForcingProbe:
         assert lam > 0.0
         assert certified_at_amplitude(spec, 0.5, hx.SolverConfig(), lam)
         assert not certified_at_amplitude(spec, 0.5, hx.SolverConfig(), 2 * lam)
-        ordered = sorted(evals)
-        flips = sum(1 for (_, a), (_, b) in zip(ordered, ordered[1:]) if (not a) and b)
-        assert flips == 0
+        assert non_monotone_flips(evals) == 0
 
     def test_threshold_shrinks_with_radius(self):
         # 3-point sweep: tighter balls admit less forcing
