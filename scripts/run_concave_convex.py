@@ -6,8 +6,6 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
 import hintcvx as hx
 from hintcvx.principle import default_radius, run_problem
 

@@ -5,8 +5,6 @@ increasing positive profile for a family of increasing weights a(r) = 1 + s r.""
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 import hintcvx as hx
 from hintcvx.principle import run_problem
 

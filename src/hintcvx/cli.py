@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import CONCAVE_CONVEX, FAMILIES, NONHOMOGENEOUS, ProblemSpec
+from .functionals import NONHOMOGENEOUS, FieldError, ProblemSpec
 from .grid import (
     DIRICHLET_ZERO,
     GridFunction,
@@ -82,8 +82,9 @@ def _number(doc: dict, key: str, path: str, default=None):
     if key not in doc:
         return default
     val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
+    # the bound test also rejects NaN, infinities and ints too large for a float
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -151,27 +152,7 @@ def build_problem_spec(doc, path: str = "problem") -> ProblemSpec:
         {"family", "grid", "p"},
         path,
     )
-    family = doc["family"]
-    if family not in FAMILIES:
-        raise ConfigError(f"{path}.family", f"expected one of {FAMILIES}, got {family!r}")
     grid = _build_grid(doc["grid"], f"{path}.grid")
-
-    p = _number(doc, "p", path)
-    if p is None or p <= 2.0:
-        raise ConfigError(f"{path}.p", f"expected p > 2, got {doc.get('p')!r}")
-    q = _number(doc, "q", path)
-    if q is not None and not (1.0 < q < 2.0):
-        raise ConfigError(f"{path}.q", f"expected 1 < q < 2, got {q!r}")
-    mu = _number(doc, "mu", path, 0.0)
-    if mu < 0.0:
-        raise ConfigError(f"{path}.mu", f"expected mu >= 0, got {mu!r}")
-    C1 = _number(doc, "C1", path, 1.0)
-    if C1 <= 0.0:
-        raise ConfigError(f"{path}.C1", f"expected C1 > 0, got {C1!r}")
-    r = _number(doc, "r", path)
-    if r is not None and r <= 0.0:
-        raise ConfigError(f"{path}.r", f"expected r > 0, got {r!r}")
-
     f = a = None
     if "f" in doc:
         # data profiles are unconstrained; the interior-only square grid
@@ -183,10 +164,12 @@ def build_problem_spec(doc, path: str = "problem") -> ProblemSpec:
             raise ConfigError(f"{path}.a", "the weight a needs a radial grid")
         a = _build_profile(doc["a"], grid, NEUMANN_ZERO, f"{path}.a")
 
+    # absent keys take the ProblemSpec defaults
+    numbers = {key: _number(doc, key, path) for key in ("p", "q", "mu", "C1", "r") if key in doc}
     try:
-        return ProblemSpec(family=family, grid=grid, p=p, q=q, mu=mu, f=f, a=a, C1=C1, r=r)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        return ProblemSpec(family=doc["family"], grid=grid, f=f, a=a, **numbers)
+    except FieldError as exc:
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
 
 
 def build_solver_config(doc, path: str = "solver") -> SolverConfig:

@@ -19,7 +19,6 @@ from .convex_sets import (
     ConvexSet,
     H2Ball,
     MembershipError,
-    MonotoneCone,
     contains,
 )
 from .functionals import ProblemSpec, phi_grad, psi_grad

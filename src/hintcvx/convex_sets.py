@@ -10,7 +10,6 @@ lower-bounded isotonic problem exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 

@@ -45,6 +45,14 @@ FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS, NEUMANN_RADIAL)
 BALL_FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS)
 
 
+class FieldError(ValueError):
+    """Invalid ``ProblemSpec`` parameter; ``field`` names the offending one."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class DegenerateInputError(ValueError):
     """Raised when a nonlinearity over- or underflows to non-finite values."""
 
@@ -78,48 +86,49 @@ class ProblemSpec:
     r: float | None = None
 
     def __post_init__(self):
+        # comparisons are written so that NaN fails them
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise FieldError("family", f"unknown family {self.family!r}; expected one of {FAMILIES}")
         dim = self.grid.dim if isinstance(self.grid, RadialGrid) else 2
         if not self.p > 2.0:
-            raise ValueError(f"p must exceed 2, got p={self.p}")
+            raise FieldError("p", f"p must exceed 2, got p={self.p}")
         if self.p >= _p_star(dim):
-            raise ValueError(
-                f"p={self.p} violates the embedding bound p < {_p_star(dim)} at dim={dim}"
+            raise FieldError(
+                "p", f"p={self.p} violates the embedding bound p < {_p_star(dim)} at dim={dim}"
             )
-        if self.C1 <= 0.0:
-            raise ValueError(f"C1 must be positive, got C1={self.C1}")
-        if self.r is not None and self.r <= 0.0:
-            raise ValueError(f"constraint radius must be positive, got r={self.r}")
+        if not self.C1 > 0.0:
+            raise FieldError("C1", f"C1 must be positive, got C1={self.C1}")
+        if self.r is not None and not self.r > 0.0:
+            raise FieldError("r", f"constraint radius must be positive, got r={self.r}")
+
+        takes = {CONCAVE_CONVEX: ("q", "mu"), NONHOMOGENEOUS: ("f",), NEUMANN_RADIAL: ("a",)}
+        # mu = 0 counts as not given
+        for name, val in (("q", self.q), ("mu", self.mu or None), ("f", self.f), ("a", self.a)):
+            if val is not None and name not in takes[self.family]:
+                raise FieldError(name, f"{self.family} takes no {name}")
 
         if self.family == CONCAVE_CONVEX:
             if self.q is None or not (1.0 < self.q < 2.0):
-                raise ValueError(f"q must lie in (1, 2), got q={self.q}")
-            if self.mu < 0.0:
-                raise ValueError(f"mu must be nonnegative, got mu={self.mu}")
-            if self.f is not None or self.a is not None:
-                raise ValueError("concave-convex takes no forcing f or weight a")
+                raise FieldError("q", f"q must lie in (1, 2), got q={self.q}")
+            if not self.mu >= 0.0:
+                raise FieldError("mu", f"mu must be nonnegative, got mu={self.mu}")
         elif self.family == NONHOMOGENEOUS:
             if self.f is None:
-                raise ValueError("nonhomogeneous family needs a forcing f")
+                raise FieldError("f", "nonhomogeneous family needs a forcing f")
             if self.f.grid != self.grid:
-                raise ValueError("forcing f lives on a different grid")
-            if self.q is not None or self.mu != 0.0 or self.a is not None:
-                raise ValueError("nonhomogeneous takes only p and f")
+                raise FieldError("f", "forcing f lives on a different grid")
         else:
             if not isinstance(self.grid, RadialGrid):
-                raise ValueError("neumann-radial needs a radial grid")
+                raise FieldError("grid", "neumann-radial needs a radial grid")
             if self.a is None:
-                raise ValueError("neumann-radial family needs a radial weight a")
+                raise FieldError("a", "neumann-radial family needs a radial weight a")
             if self.a.grid != self.grid:
-                raise ValueError("weight a lives on a different grid")
+                raise FieldError("a", "weight a lives on a different grid")
             av = self.a.values
             if np.min(av) < 0.0:
-                raise ValueError("weight a must be nonnegative")
+                raise FieldError("a", "weight a must be nonnegative")
             if np.min(np.diff(av)) < -1e-12:
-                raise ValueError("weight a must be node-wise nondecreasing")
-            if self.q is not None or self.mu != 0.0 or self.f is not None:
-                raise ValueError("neumann-radial takes only p and a")
+                raise FieldError("a", "weight a must be node-wise nondecreasing")
 
     @property
     def bc(self) -> str:

@@ -32,14 +32,13 @@ from .convex_sets import (
 )
 from .functionals import (
     BALL_FAMILIES,
-    NEUMANN_RADIAL,
     NONHOMOGENEOUS,
     ProblemSpec,
     energy,
     phi_grad,
     psi_grad,
 )
-from .grid import GridFunction, RadialGrid, Square2DGrid, weighted_inner
+from .grid import GridFunction, RadialGrid, weighted_inner
 from .solvers import (
     DivergenceError,
     IterTrace,
@@ -61,6 +60,8 @@ _WINDOW_TOL = 1e-10
 
 
 def _validate_window_params(C1: float, mu: float, p: float, q: float) -> None:
+    if not all(math.isfinite(x) for x in (C1, mu, p, q)):
+        raise ValueError(f"window parameters must be finite, got C1={C1}, mu={mu}, p={p}, q={q}")
     if C1 <= 0.0:
         raise ValueError(f"C1 must be positive, got {C1}")
     if mu < 0.0:
@@ -303,7 +304,6 @@ class SolverReport:
     trace: IterTrace
     iterations: int
     reason: str
-    converged: bool
 
 
 def run_problem(
@@ -340,7 +340,7 @@ def run_problem(
                     ),
                     seed=cfg.seed,
                 )
-                return cert, SolverReport(IterTrace(), 0, "window", False)
+                return cert, SolverReport(IterTrace(), 0, "window")
             r_used = default_radius(window)
         problem_doc["r"] = r_used
 
@@ -360,7 +360,7 @@ def run_problem(
         cert.error = f"solve: {exc}"
         if isinstance(exc, DivergenceError):
             trace = exc.trace
-        return cert, SolverReport(trace, len(trace), "error", False)
+        return cert, SolverReport(trace, len(trace), "error")
 
     cert.u0 = u0
     cert.energy = energy(spec, u0).total
@@ -383,7 +383,7 @@ def run_problem(
         cert.duality_gap = duality_gap(spec.operator, u0, phi_grad(spec, u0))
     except (IterationLimitError, MembershipError, ValueError) as exc:
         cert.error = f"step-ii: {exc}"
-        return cert, SolverReport(trace, len(trace), trace.reason, False)
+        return cert, SolverReport(trace, len(trace), trace.reason)
 
     if cert.vi_residual > tol:
         cert.verdict = VERDICT_NOT_CRITICAL
@@ -403,8 +403,7 @@ def run_problem(
     else:
         cert.verdict = VERDICT_CERTIFIED
 
-    converged = trace.reason in ("vi_residual", "step")
-    return cert, SolverReport(trace, len(trace), trace.reason, converged)
+    return cert, SolverReport(trace, len(trace), trace.reason)
 
 
 def _amplitude_spec(spec_template: ProblemSpec, r: float, s: float) -> ProblemSpec:

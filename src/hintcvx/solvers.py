@@ -1,7 +1,9 @@
-"""Optimization drivers: the stage-ii linear solve, projected gradient
-descent over a convex set, and the path-based mountain-pass search.
-Every solve with A, in either stage, uses the sparse LU factor cached on
-the operator (``EllipticOperator.form_solver``).
+"""Optimization drivers: the stage-ii linear solve, and one stage-i loop
+(``_descend``: trace, termination tests, reason) run with two step rules,
+the Armijo step of projected gradient descent over a convex set and the
+ridge push plus path re-sample of the mountain-pass search.  Every solve
+with A, in either stage, uses the sparse LU factor cached on the operator
+(``EllipticOperator.form_solver``).
 
 Descent directions are Riesz representatives of the energy gradient in the
 quadratic-form inner product of Psi (one sparse triangular solve per step),
@@ -44,9 +46,8 @@ logger = logging.getLogger("hintcvx.solvers")
 
 TRACE_HEADER = ("k", "energy", "vi_residual", "step", "h2_norm")
 MAX_BACKTRACKS = 60
-# Stage-ii contract ||A v - b||_w <= LINEAR_SOLVE_RTOL ||b||_w.  Its
-# attainable floor scales like eps / h^2 (worse for dim >= 2, where the
-# centre-cell weight is tiny).
+# Stage-ii contract ||A v - b||_w <= LINEAR_SOLVE_RTOL ||b||_w + floor, where
+# floor bounds the rounding of evaluating A v - b itself (_residual_floor).
 LINEAR_SOLVE_RTOL = 1e-9
 
 
@@ -87,7 +88,7 @@ class SolverConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         for name in ("step0", "tol_residual", "tol_step"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
@@ -124,15 +125,31 @@ class IterTrace:
                 writer.writerow([row[0]] + [repr(x) for x in row[1:]])
 
 
+def _residual_floor(op: EllipticOperator, v: np.ndarray, b: np.ndarray) -> float:
+    """Weighted norm of the rounding bound gamma_{k+1} (|A| |v| + |b|) of
+    evaluating A v - b in doubles, k the most stored entries in a row of the
+    form and gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.5 and Thm 7.3).  It grows like
+    eps / h^2, and more where a centre-cell weight is tiny."""
+    n_terms = int(np.diff(op.form.indptr).max()) + 1
+    u = np.finfo(float).eps / 2.0
+    gamma = n_terms * u / (1.0 - n_terms * u)
+    # |A| = W^-1 |form|; the form's rows at inactive nodes are zero
+    bound = (abs(op.form) @ np.abs(v)) / op.weights + np.abs(b)
+    return gamma * float(np.sqrt(weighted_inner(op.weights, bound, bound)))
+
+
 def linear_solve(op: EllipticOperator, rhs: GridFunction) -> GridFunction:
-    """Direct solve of A v = rhs to ||A v - rhs||_w <= LINEAR_SOLVE_RTOL ||rhs||_w.
+    """Direct solve of A v = rhs to
+    ||A v - rhs||_w <= LINEAR_SOLVE_RTOL ||rhs||_w + floor.
 
     Solves on the operator's cached sparse LU factor (the one stage i uses
     for its descent directions), then takes one step of iterative
     refinement.  The contract is checked with the flux-form ``apply``, not
-    the factor, and a miss raises ``IterationLimitError``; a rank-deficient
-    operator raises ``RankDeficiencyError``.  Entries of rhs at Dirichlet
-    boundary nodes are ignored (the solution vanishes there).
+    the factor; ``floor`` is the rounding bound of that check itself
+    (``_residual_floor``).  A miss raises ``IterationLimitError``; a
+    rank-deficient operator raises ``RankDeficiencyError``.  Entries of rhs
+    at Dirichlet boundary nodes are ignored (the solution vanishes there).
     """
     if rhs.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid than the operator")
@@ -142,12 +159,16 @@ def linear_solve(op: EllipticOperator, rhs: GridFunction) -> GridFunction:
     err = op.apply(v) - b
     res = float(np.sqrt(weighted_inner(op.weights, err, err)))
     rhs_norm = float(np.sqrt(weighted_inner(op.weights, b, b)))
+    # the floor costs a sparse product, so only residuals above the
+    # relative term pay for it
     if res > LINEAR_SOLVE_RTOL * rhs_norm:
-        raise IterationLimitError(
-            f"lu solve failed its residual contract: "
-            f"{res:.3e} > {LINEAR_SOLVE_RTOL:.1e} * {rhs_norm:.3e}",
-            residual=res,
-        )
+        floor = _residual_floor(op, v, b)
+        if res > LINEAR_SOLVE_RTOL * rhs_norm + floor:
+            raise IterationLimitError(
+                f"lu solve failed its residual contract: "
+                f"{res:.3e} > {LINEAR_SOLVE_RTOL:.1e} * {rhs_norm:.3e} + {floor:.3e} (rounding floor)",
+                residual=res,
+            )
     return GridFunction(op.grid, v, op.bc)
 
 
@@ -195,6 +216,43 @@ def _armijo_search(spec, K, u, value, g, cfg):
     return None
 
 
+def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg: SolverConfig, step):
+    """Stage-i loop shared by both drivers.
+
+    Records one trace row per iterate and stops when the VI residual drops
+    below ``tol_residual``, when ``step(u, value)`` finds no acceptable
+    point (it returns ``(cand, cand_value, tau)`` or None), when the metric
+    step drops below ``tol_step``, or at ``max_iters``.  The last two leave
+    the last accepted point without a row, so it gets a final one.
+    """
+    trace = IterTrace()
+    step_prev = float("nan")
+    for k in range(cfg.max_iters):
+        rho = vi_residual(spec, K, u)
+        trace.append(k, value, rho, step_prev, spec.geometry.h2_norm(u.values))
+        if rho <= cfg.tol_residual:
+            trace.reason = "vi_residual"
+            return u, trace
+        result = step(u, value)
+        if result is None:
+            trace.reason = "line-search-stalled"
+            return u, trace
+        cand, value, step_prev = result
+        step_norm = _metric_step_norm(spec, K, cand.values - u.values)
+        u = cand
+        if step_norm <= cfg.tol_step:
+            reason = "step"
+            break
+    else:
+        reason = "max_iters"
+    rho = vi_residual(spec, K, u)
+    trace.append(k + 1, value, rho, step_prev, spec.geometry.h2_norm(u.values))
+    if rho <= cfg.tol_residual and reason == "max_iters":
+        reason = "vi_residual"
+    trace.reason = reason
+    return u, trace
+
+
 def projected_gradient_minimize(
     spec: ProblemSpec, K: ConvexSet, u_init: GridFunction, cfg: SolverConfig
 ) -> tuple[GridFunction, IterTrace]:
@@ -207,41 +265,15 @@ def projected_gradient_minimize(
     """
     if not contains(K, u_init, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("projected gradient must start inside the constraint set")
-    trace = IterTrace()
-    u = u_init
-    value = _energy_total(spec, u)
+    value = _energy_total(spec, u_init)
     if not np.isfinite(value):
-        raise DivergenceError("initial energy is not finite", trace)
-    step_prev = float("nan")
-    reason = "max_iters"
-    state_recorded = False
-    k = 0
-    for k in range(cfg.max_iters):
-        rho = vi_residual(spec, K, u)
-        trace.append(k, value, rho, step_prev, spec.geometry.h2_norm(u.values))
-        state_recorded = True
-        if rho <= cfg.tol_residual:
-            reason = "vi_residual"
-            break
-        g = _gradient(spec, u)
-        result = _armijo_search(spec, K, u, value, g, cfg)
-        if result is None:
-            reason = "line-search-stalled"
-            break
-        cand, cand_value, tau = result
-        step_norm = _metric_step_norm(spec, K, cand.values - u.values)
-        u, value, step_prev = cand, cand_value, tau
-        state_recorded = False
-        if step_norm <= cfg.tol_step:
-            reason = "step"
-            break
-    if not state_recorded:
-        rho = vi_residual(spec, K, u)
-        trace.append(k + 1, value, rho, step_prev, spec.geometry.h2_norm(u.values))
-        if rho <= cfg.tol_residual and reason == "max_iters":
-            reason = "vi_residual"
-    trace.reason = reason
-    logger.info("projected gradient terminated (%s) after %d rows", reason, len(trace))
+        raise DivergenceError("initial energy is not finite", IterTrace())
+
+    def armijo_step(u, value):
+        return _armijo_search(spec, K, u, value, _gradient(spec, u), cfg)
+
+    u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)
+    logger.info("projected gradient terminated (%s) after %d rows", trace.reason, len(trace))
     return u, trace
 
 
@@ -297,29 +329,17 @@ def mountain_pass(
     if not np.isfinite(value_e) or value_e > 1e-12:
         raise MPGError(f"mountain-pass geometry violated: I(e) = {value_e!r} must be <= 0")
 
-    trace = IterTrace()
     zero = np.zeros(spec.grid.size)
     nodes = _path_nodes(spec, K, zero, 0.5 * e.values, e.values, cfg.path_nodes)
     u = ray_rescale(spec, max(nodes, key=lambda nd: _energy_total(spec, nd)))
     value = _energy_total(spec, u)
     if not np.isfinite(value):
-        raise DivergenceError("initial path energy is not finite", trace)
+        raise DivergenceError("initial path energy is not finite", IterTrace())
 
-    step_prev = float("nan")
-    reason = "max_iters"
-    state_recorded = False
-    k = 0
-    for k in range(cfg.max_iters):
-        rho = vi_residual(spec, K, u)
-        trace.append(k, value, rho, step_prev, spec.geometry.h2_norm(u.values))
-        state_recorded = True
-        if rho <= cfg.tol_residual:
-            reason = "vi_residual"
-            break
+    def ridge_step(u, value):
         g = _gradient(spec, u)
         direction = spec.operator.solve_form(g)
         g_norm = float(np.sqrt(weighted_inner(spec.weights, g, g)))
-        accepted = None
         # acceptance at each step size: ridge-merit decrease beyond the
         # quadratic-form rounding floor, or failing that a contraction of
         # the strong gradient (the merit gap scales like distance^2 and
@@ -338,13 +358,10 @@ def mountain_pass(
                     g_cand_norm = np.sqrt(weighted_inner(spec.weights, g_cand, g_cand))
                     ok = g_cand_norm < 0.999 * g_norm
                 if ok:
-                    accepted = (cand, cand_value, tau)
                     break
             tau *= cfg.armijo_shrink
-        if accepted is None:
-            reason = "line-search-stalled"
-            break
-        cand, cand_value, tau = accepted
+        else:
+            return None
         # path re-sample through the pushed node; jump if the path max beats it
         nodes = _path_nodes(spec, K, zero, cand.values, e.values, cfg.path_nodes)
         best = max(nodes, key=lambda nd: _energy_total(spec, nd))
@@ -352,18 +369,9 @@ def mountain_pass(
         if best_value > cand_value + 1e-12:
             cand = ray_rescale(spec, best)
             cand_value = _energy_total(spec, cand)
-        step_norm = _metric_step_norm(spec, K, cand.values - u.values)
-        u, value, step_prev = cand, cand_value, tau
-        state_recorded = False
-        if step_norm <= cfg.tol_step:
-            reason = "step"
-            break
-    if not state_recorded:
-        rho = vi_residual(spec, K, u)
-        trace.append(k + 1, value, rho, step_prev, spec.geometry.h2_norm(u.values))
-        if rho <= cfg.tol_residual and reason == "max_iters":
-            reason = "vi_residual"
-    trace.reason = reason
+        return cand, cand_value, tau
+
+    u, trace = _descend(spec, K, u, value, cfg, ridge_step)
     c = _energy_total(spec, u)
-    logger.info("mountain pass terminated (%s), c = %.6e", reason, c)
+    logger.info("mountain pass terminated (%s), c = %.6e", trace.reason, c)
     return u, trace, c

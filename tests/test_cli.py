@@ -65,6 +65,16 @@ class TestSolveCommand:
         assert code == 1
         assert "problem.smoothing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value", [("problem", "r", float("nan")), ("solver", "step0", float("inf"))]
+    )
+    def test_non_finite_number_names_field(self, tmp_path, capsys, section, key, value):
+        doc = base_config(tmp_path / "out")
+        doc[section][key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["cg_tol", "cg_max_iters"])
     def test_removed_cg_keys_rejected(self, tmp_path, capsys, key):
         doc = base_config(tmp_path / "out")
@@ -183,6 +193,11 @@ class TestWindowCommand:
         code = main(["window", "--C1", "1", "--mu", "0.1", "--p", "3", "--q", "3"])
         assert code == 1
         assert "q" in capsys.readouterr().err
+
+    def test_nan_exits_one(self, capsys):
+        code = main(["window", "--C1", "1", "--mu", "nan", "--p", "3", "--q", "1.5"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestProbeLambdaCommand:

@@ -5,7 +5,7 @@ import hintcvx as hx
 from hintcvx.convex_analysis import cone_box_bound
 from hintcvx.grid import weighted_inner
 
-from conftest import random_dirichlet, random_neumann
+from conftest import random_dirichlet
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.functionals import DegenerateInputError
+from hintcvx.functionals import DegenerateInputError, FieldError
 from hintcvx.grid import weighted_inner
 
 from conftest import random_dirichlet, random_neumann
@@ -59,6 +59,13 @@ class TestProblemSpecValidation:
         hx.ProblemSpec(family="concave-convex", grid=g, p=3.5, q=1.5)
         with pytest.raises(ValueError):
             hx.ProblemSpec(family="concave-convex", grid=g, p=4.5, q=1.5)
+
+    @pytest.mark.parametrize("name", ["p", "q", "mu", "C1", "r"])
+    def test_nan_rejected_with_field(self, grid1d, name):
+        params = {"p": 4.0, "q": 1.5, "mu": 0.1, "C1": 1.0, "r": 0.5, name: float("nan")}
+        with pytest.raises(FieldError) as err:
+            hx.ProblemSpec(family="concave-convex", grid=grid1d, **params)
+        assert err.value.field == name
 
 
 class TestPsi:

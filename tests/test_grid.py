@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import hintcvx as hx
 from hintcvx.grid import grid_from_json, sphere_area, weighted_inner
 
-from conftest import random_dirichlet, random_neumann
+from conftest import random_dirichlet
 
 
 class TestGrids:

