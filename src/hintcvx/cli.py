@@ -180,7 +180,7 @@ def build_solver_config(doc, path: str = "solver") -> SolverConfig:
     _check_keys(doc, fields, set(), path)
     kwargs = {}
     for key, val in doc.items():
-        if key in ("max_iters", "seed", "path_nodes"):
+        if key in ("max_iters", "seed"):
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError(f"{path}.{key}", f"expected an integer, got {val!r}")
             kwargs[key] = val
@@ -206,7 +206,8 @@ def parse_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and the int-string length limit of json.load
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     doc = _require_mapping(doc, "config")
     _check_keys(
@@ -312,11 +313,17 @@ def cmd_probe_lambda(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"probe: {exc}", file=sys.stderr)
         return 1
+    # lam is always an amplitude the probe evaluated; 2 lam is one when the
+    # probe never certified past s_start or never failed
+    verdicts = dict(evaluations)
+    at_2lam = verdicts.get(2.0 * lam)
+    if at_2lam is None:
+        at_2lam = certified_at_amplitude(spec, r, solver, 2.0 * lam)
     doc = {
         "lambda_hat": lam,
         "r": r,
-        "certified_at_lambda": certified_at_amplitude(spec, r, solver, lam),
-        "certified_at_2lambda": certified_at_amplitude(spec, r, solver, 2.0 * lam),
+        "certified_at_lambda": verdicts[lam],
+        "certified_at_2lambda": at_2lam,
         "evaluations": len(evaluations),
         "non_monotone_flips": non_monotone_flips(evaluations),
     }

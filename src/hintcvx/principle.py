@@ -71,10 +71,14 @@ def _validate_window_params(C1: float, mu: float, p: float, q: float) -> None:
 
 
 def _bisect(fn, lo: float, hi: float, tol: float = _WINDOW_TOL) -> float:
-    """Bisection for the sign change of fn on [lo, hi] to absolute tol."""
+    """Bisection for the sign change of fn on [lo, hi] to absolute tol, or
+    until no double lies strictly between lo and hi (brackets above ~5e5
+    are wider than tol at their float spacing)."""
     flo = fn(lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fm = fn(mid)
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
@@ -89,20 +93,16 @@ def radius_window(C1: float, mu: float, p: float, q: float) -> tuple[float, floa
     The defect g(r) = C1 r^(p-1) + C1 mu r^(q-1) - r changes sign in the
     pattern +, -, + for mu > 0, so the admissible set is a single interval;
     endpoints are bisected to absolute tolerance 1e-10.  Returns None when
-    the window is empty (min g > 0) and reports r1 = 0 for mu = 0, where
-    every sufficiently small radius is admissible.
+    the window is empty (min g > 0).  For mu = 0 the window is
+    [0, (1/C1)^(1/(p-2))], the exact root of g, and every sufficiently
+    small radius is admissible.
     """
     _validate_window_params(C1, mu, p, q)
+    if mu == 0.0:
+        return 0.0, (1.0 / C1) ** (1.0 / (p - 2.0))
 
     def g(r: float) -> float:
         return C1 * r ** (p - 1.0) + C1 * mu * r ** (q - 1.0) - r
-
-    if mu == 0.0:
-        cap = (1.0 / C1) ** (1.0 / (p - 2.0))  # exact root of g for mu = 0
-        hi = 2.0 * cap
-        while g(hi) <= 0.0:
-            hi *= 2.0
-        return 0.0, _bisect(g, 0.5 * cap, hi)
 
     # interior minimizer of g/r, closed form
     rmin = (mu * (2.0 - q) / (p - 2.0)) ** (1.0 / (p - q))
@@ -135,39 +135,13 @@ def mu_star(C1: float, p: float, q: float) -> float:
     """Largest coefficient with a nonempty radius window:
     mu* = max over r > 0 of (r - C1 r^(p-1)) / (C1 r^(q-1)).
 
-    The maximand is unimodal on (0, (1/C1)^(1/(p-2))); golden-section
-    search locates the maximizer to absolute tolerance 1e-10.  Returns 0.0
-    in the degenerate case of a nowhere-positive numerator (unreachable
-    for p > 2, kept as a defensive branch).
+    The maximand r^(2-q)/C1 - r^(p-q) rises from 0 and falls to -inf, with
+    its one critical point at r* = ((2-q) / (C1 (p-q)))^(1/(p-2)), where
+    it equals (p-2)/(p-q) r*^(2-q) / C1.
     """
     _validate_window_params(C1, 0.0, p, q)
-
-    cap = (1.0 / C1) ** (1.0 / (p - 2.0))
-
-    def eta(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        return (r - C1 * r ** (p - 1.0)) / (C1 * r ** (q - 1.0))
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, cap
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = eta(c), eta(d)
-    while b - a > _WINDOW_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = eta(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = eta(d)
-    best = eta(0.5 * (a + b))
-    if best <= 0.0:
-        logger.warning("mu_star maximand nowhere positive; returning 0")
-        return 0.0
-    return best
+    r_star = ((2.0 - q) / (C1 * (p - q))) ** (1.0 / (p - 2.0))
+    return (p - 2.0) / (p - q) * r_star ** (2.0 - q) / C1
 
 
 def default_radius(window: tuple[float, float]) -> float:
@@ -197,6 +171,9 @@ def ball_start(spec: ProblemSpec, r: float) -> GridFunction:
     else:
         xs, ys = grid.nodes
         vals = np.sin(np.pi * xs) * np.sin(np.pi * ys)
+    # sin(pi) and cos(pi/2) round to ~1e-16, which a huge radius would
+    # scale past the boundary check
+    vals = np.where(spec.operator.active, vals, 0.0)
     nrm = spec.geometry.h2_norm(vals)
     return spec.function(vals * (0.1 * r / nrm))
 

@@ -1,16 +1,21 @@
 """Optimization drivers: the stage-ii linear solve, and one stage-i loop
-(``_descend``: trace, termination tests, reason) run with two step rules,
-the Armijo step of projected gradient descent over a convex set and the
-ridge push plus path re-sample of the mountain-pass search.  Every solve
-with A, in either stage, uses the sparse LU factor cached on the operator
-(``EllipticOperator.form_solver``).
+(``_descend``: trace, termination tests, reason) run with two step rules.
+Every solve with A, in either stage, uses the sparse LU factor cached on
+the operator (``EllipticOperator.form_solver``).
 
 Descent directions are Riesz representatives of the energy gradient in the
 quadratic-form inner product of Psi (one sparse triangular solve per step),
-which contracts every frequency of the error at once.  The metric-matched
-representative (h2 for balls, weighted-l2 for cones) is kept as a fallback
-direction whenever the fast direction fails its line search, so sufficient
-decrease is always available.
+which contracts every frequency of the error at once.
+
+* Projected gradient (the ball families) takes an Armijo step over the
+  convex set.  The metric-matched representative (h2 for balls,
+  weighted-l2 for cones) is kept as a fallback direction whenever the fast
+  direction fails its line search, so sufficient decrease is always
+  available.
+* Mountain pass (the Neumann-radial family) is ridge descent on the ray
+  maximum: each trial point is projected onto the cone and rescaled to the
+  maximum of the energy along its ray.  A step is accepted when that ridge
+  merit falls, or when the VI residual halves.
 """
 
 from __future__ import annotations
@@ -82,7 +87,6 @@ class SolverConfig:
     # a label echoed into the certificate; the pipeline is deterministic,
     # so the seed drives nothing
     seed: int = 0
-    path_nodes: int = 40
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -94,8 +98,6 @@ class SolverConfig:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.armijo_shrink < 1.0:
             raise ValueError("armijo_shrink must lie in (0, 1)")
-        if self.path_nodes < 3:
-            raise ValueError("path_nodes must be at least 3")
 
 
 @dataclass
@@ -292,32 +294,21 @@ def ray_rescale(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     return u.with_values(t * u.values)
 
 
-def _path_nodes(spec, K, start: np.ndarray, mid: np.ndarray, end: np.ndarray, count: int):
-    """Piecewise-linear path start -> mid -> end sampled into cone members.
-
-    Segment interpolants of cone members are cone members (convexity), so
-    no re-projection is needed.
-    """
-    half = max(count // 2, 2)
-    nodes = []
-    for t in np.linspace(0.0, 1.0, half + 1)[1:]:
-        nodes.append((1.0 - t) * start + t * mid)
-    for t in np.linspace(0.0, 1.0, count - half + 1)[1:]:
-        nodes.append((1.0 - t) * mid + t * end)
-    return [spec.function(v) for v in nodes]
-
-
 def mountain_pass(
     spec: ProblemSpec, K: MonotoneCone, e: GridFunction, cfg: SolverConfig
 ) -> tuple[GridFunction, IterTrace, float]:
-    """Path-based mountain-pass search for the Neumann-radial family.
+    """Mountain-pass search for the Neumann-radial family: ridge descent on
+    the ray maximum.
 
-    A piecewise-linear path from 0 to e is maintained; the max-energy node
-    is refined to the exact maximum along its ray, pushed downhill by one
-    projected-gradient step, and the path is re-sampled through the pushed
-    node.  The push is accepted only if it lowers the ridge merit
-    I(ray-max(.)), so the reported path value c decreases monotonically
-    toward the critical value and never drops below max(I(0), I(e)) = 0.
+    With the p-homogeneous Phi of this family, the mountain-pass level of
+    paths in the cone from 0 to e is the infimum over the cone of the ray
+    maximum I(ray-max(u)) (the Nehari-manifold characterisation; Szulkin &
+    Weth, Handbook of Nonconvex Analysis, 2010).  The search starts at the
+    ray maximum of e and descends that merit: each step pushes the iterate
+    along the Psi-form Riesz direction, projects onto the cone and rescales
+    to the ray maximum.  A step is accepted when the merit falls, or when
+    the VI residual halves, so the reported value c is the ray maximum of
+    the last iterate and never drops below max(I(0), I(e)) = 0.
     """
     if spec.family != NEUMANN_RADIAL:
         raise ValueError("mountain_pass drives the Neumann-radial family only")
@@ -329,47 +320,30 @@ def mountain_pass(
     if not np.isfinite(value_e) or value_e > 1e-12:
         raise MPGError(f"mountain-pass geometry violated: I(e) = {value_e!r} must be <= 0")
 
-    zero = np.zeros(spec.grid.size)
-    nodes = _path_nodes(spec, K, zero, 0.5 * e.values, e.values, cfg.path_nodes)
-    u = ray_rescale(spec, max(nodes, key=lambda nd: _energy_total(spec, nd)))
+    u = ray_rescale(spec, e)
     value = _energy_total(spec, u)
     if not np.isfinite(value):
-        raise DivergenceError("initial path energy is not finite", IterTrace())
+        raise DivergenceError("initial ray-maximum energy is not finite", IterTrace())
 
     def ridge_step(u, value):
-        g = _gradient(spec, u)
-        direction = spec.operator.solve_form(g)
-        g_norm = float(np.sqrt(weighted_inner(spec.weights, g, g)))
+        direction = spec.operator.solve_form(_gradient(spec, u))
+        rho = vi_residual(spec, K, u)
         # acceptance at each step size: ridge-merit decrease beyond the
-        # quadratic-form rounding floor, or failing that a contraction of
-        # the strong gradient (the merit gap scales like distance^2 and
-        # falls under float resolution near the saddle while the gradient
-        # keeps contracting geometrically)
+        # quadratic-form rounding floor, or failing that a halved VI
+        # residual (near the saddle the merit gap scales like distance^2 and
+        # falls under float resolution, while the residual the loop stops
+        # on keeps contracting)
         merit_floor = 1e-13 * (1.0 + abs(value))
         tau = cfg.step0
         for _ in range(MAX_BACKTRACKS):
-            pushed = project(K, u.with_values(u.values - tau * direction))
-            cand = ray_rescale(spec, pushed)
+            cand = ray_rescale(spec, project(K, u.with_values(u.values - tau * direction)))
             cand_value = _energy_total(spec, cand)
-            if np.isfinite(cand_value):
-                ok = cand_value < value - merit_floor
-                if not ok:
-                    g_cand = _gradient(spec, cand)
-                    g_cand_norm = np.sqrt(weighted_inner(spec.weights, g_cand, g_cand))
-                    ok = g_cand_norm < 0.999 * g_norm
-                if ok:
-                    break
+            if np.isfinite(cand_value) and (
+                cand_value < value - merit_floor or vi_residual(spec, K, cand) < 0.5 * rho
+            ):
+                return cand, cand_value, tau
             tau *= cfg.armijo_shrink
-        else:
-            return None
-        # path re-sample through the pushed node; jump if the path max beats it
-        nodes = _path_nodes(spec, K, zero, cand.values, e.values, cfg.path_nodes)
-        best = max(nodes, key=lambda nd: _energy_total(spec, nd))
-        best_value = _energy_total(spec, best)
-        if best_value > cand_value + 1e-12:
-            cand = ray_rescale(spec, best)
-            cand_value = _energy_total(spec, cand)
-        return cand, cand_value, tau
+        return None
 
     u, trace = _descend(spec, K, u, value, cfg, ridge_step)
     c = _energy_total(spec, u)

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hintcvx as hx
-from hintcvx.cli import main
+from hintcvx import cli
+from hintcvx.cli import main, parse_config
+from hintcvx.principle import certified_at_amplitude
 
 
 def base_config(out_dir, n=41, mu=0.2, r=None, family="concave-convex"):
@@ -75,13 +78,29 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["cg_tol", "cg_max_iters"])
+    @pytest.mark.parametrize("key", ["cg_tol", "cg_max_iters", "path_nodes"])
     def test_removed_cg_keys_rejected(self, tmp_path, capsys, key):
         doc = base_config(tmp_path / "out")
         doc["solver"][key] = 1e-9 if key == "cg_tol" else 100
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", str(cfg)]) == 1
         assert f"solver.{key}" in capsys.readouterr().err
+
+    def test_oversized_integer_literal_is_config_error(self, tmp_path, capsys):
+        # json.load raises a plain ValueError past the int-string digit limit
+        text = json.dumps(base_config(tmp_path / "out")).replace('"C1": 1.0', '"C1": 1' + "0" * 5000)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_readme_example_config_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = write_config(tmp_path, json.loads(block))
+        run_cfg = parse_config(cfg)
+        assert run_cfg.spec.family == "concave-convex"
+        assert run_cfg.spec.r is None
 
     def test_profile_cells_are_plain_numbers(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -226,6 +245,22 @@ class TestProbeLambdaCommand:
         assert doc["certified_at_2lambda"] is False
         assert doc["non_monotone_flips"] == 0
 
+    def test_probe_reuses_its_evaluations(self, tmp_path, capsys, monkeypatch):
+        # lambda_hat is an amplitude the probe already evaluated, so at most
+        # the run at 2 lambda_hat is new
+        calls = []
+
+        def counting(spec, r, cfg, s):
+            calls.append(s)
+            return certified_at_amplitude(spec, r, cfg, s)
+
+        monkeypatch.setattr(cli, "certified_at_amplitude", counting)
+        assert main(["probe-lambda", "--config", str(self.nonhomogeneous_config(tmp_path))]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert calls in ([], [2.0 * doc["lambda_hat"]])
+        assert doc["certified_at_lambda"] is True
+        assert doc["certified_at_2lambda"] is False
+
     def test_family_mismatch_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(tmp_path / "out"))
         code = main(["probe-lambda", "--config", str(cfg)])
@@ -242,3 +277,38 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["r2"] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestHugeWindowsTerminate:
+    """Windows that reach past ~5e5, where the float spacing exceeds the
+    1e-10 bisection tolerance.  Each runs in a subprocess with a timeout,
+    so a loop that never ends fails the test instead of hanging it."""
+
+    def run_cli(self, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "hintcvx.cli", *args], capture_output=True, text=True, timeout=60
+        )
+
+    @pytest.mark.parametrize("mu", ["0", "0.01"])
+    def test_window(self, mu):
+        proc = self.run_cli("window", "--C1", "0.1", "--mu", mu, "--p", "2.05", "--q", "1.5")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["r2"] == pytest.approx(1e20, rel=1e-9)
+        assert 0.0 <= doc["r1"] < doc["r2"]
+        r_star = (0.5 / (0.1 * 0.55)) ** 20.0
+        assert doc["mu_star"] == pytest.approx(r_star**0.5 / 0.1 - r_star**0.55, rel=1e-12)
+
+    def test_solve_with_default_radius(self, tmp_path):
+        problem = {
+            "family": "concave-convex",
+            "grid": {"kind": "radial", "n": 41, "dim": 1, "bc": "dirichlet-zero"},
+            "p": 2.1,
+            "q": 1.5,
+            "mu": 0.0,
+            "C1": 0.1,
+        }
+        doc = {"schema_version": 1, "problem": problem, "output_dir": str(tmp_path / "out")}
+        proc = self.run_cli("solve", "--config", str(write_config(tmp_path, doc)))
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: certified" in proc.stdout

@@ -26,6 +26,10 @@ class TestRadiusWindow:
         assert r1 == 0.0
         assert abs(r2 - 1.0) <= 1e-9
 
+    def test_mu_zero_exact_root(self):
+        assert hx.radius_window(1.0, 0.0, 3.0, 1.5) == (0.0, 1.0)
+        assert hx.radius_window(0.25, 0.0, 4.0, 1.5) == (0.0, 2.0)
+
     def test_pinned_oracle_values(self):
         # frozen from a 30-digit bisection oracle on g
         r1, r2 = hx.radius_window(1.0, 0.1, 3.0, 1.5)
@@ -174,8 +178,22 @@ class TestRunProblem:
         assert report.reason in ("vi_residual", "step")
 
     # the residual check itself rounds at about 2e-8 ||b||_w here, above the
-    # relative contract; the attained residual is 1.0-1.4e-9 ||b||_w
-    @pytest.mark.parametrize("slope", [1.0, 3.0])
+    # relative contract; the attained residual is 1.0-1.4e-9 ||b||_w.  The
+    # drawn slopes are ones where the ridge search once stalled at a VI
+    # residual of 1.0-8.0e-9, just above the 1e-9 tolerance
+    @pytest.mark.parametrize(
+        "slope",
+        [
+            1.0,
+            3.0,
+            0.46819588996976946,
+            1.0900911252385752,
+            1.7572828543390342,
+            0.4027179687523549,
+            1.0762896851912818,
+            1.270740743293554,
+        ],
+    )
     def test_neumann_radial_certifies_dim3_n3201(self, slope):
         g = hx.RadialGrid(n=3201, dim=3)
         a = hx.GridFunction(g, 1.0 + slope * g.nodes, hx.NEUMANN_ZERO)
