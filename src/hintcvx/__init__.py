@@ -22,10 +22,8 @@ from .grid import (
 from .functionals import (
     EnergyBreakdown,
     H2Geometry,
-    Norms,
     ProblemSpec,
     energy,
-    norms,
     phi_grad,
     phi_value,
     psi_grad,
@@ -33,7 +31,6 @@ from .functionals import (
 )
 from .convex_sets import H2Ball, MembershipError, MonotoneCone, contains, project_ball, project_cone
 from .convex_analysis import (
-    DualPair,
     biconjugate_value,
     duality_gap,
     equality10_defect,
@@ -67,7 +64,6 @@ __all__ = [
     "NEUMANN_ZERO",
     "Certificate",
     "DivergenceError",
-    "DualPair",
     "EllipticOperator",
     "EnergyBreakdown",
     "GridFunction",
@@ -78,7 +74,6 @@ __all__ = [
     "MPGError",
     "MembershipError",
     "MonotoneCone",
-    "Norms",
     "ProblemSpec",
     "RadialGrid",
     "RankDeficiencyError",
@@ -97,7 +92,6 @@ __all__ = [
     "linear_solve",
     "mountain_pass",
     "mu_star",
-    "norms",
     "phi_grad",
     "phi_value",
     "project_ball",

@@ -188,8 +188,8 @@ def build_solver_config(doc, path: str = "solver") -> SolverConfig:
             kwargs[key] = _number(doc, key, path)
     try:
         return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    except FieldError as exc:
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
 
 
 @dataclass
@@ -314,7 +314,7 @@ def cmd_probe_lambda(args) -> int:
         print(f"probe: {exc}", file=sys.stderr)
         return 1
     # lam is always an amplitude the probe evaluated; 2 lam is one when the
-    # probe never certified past s_start or never failed
+    # probe never certified past PROBE_S_START or never failed
     verdicts = dict(evaluations)
     at_2lam = verdicts.get(2.0 * lam)
     if at_2lam is None:

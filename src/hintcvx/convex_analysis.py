@@ -10,8 +10,6 @@ zero exactly when u is a constrained critical point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .convex_sets import (
@@ -24,25 +22,8 @@ from .convex_sets import (
 from .functionals import ProblemSpec, phi_grad, psi_grad
 from .grid import EllipticOperator, GridFunction, weighted_inner
 
-DEFAULT_BOX_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """A primal function and a dual one, paired through the weighted sum."""
-
-    u: GridFunction
-    ustar: GridFunction
-
-    def __post_init__(self):
-        if self.u.grid != self.ustar.grid:
-            raise ValueError("dual pair must share one grid")
-
-    def pairing(self, weights: np.ndarray) -> float:
-        val = weighted_inner(weights, self.ustar.values, self.u.values)
-        if not np.isfinite(val):
-            raise ValueError("dual pairing is not finite")
-        return val
+# the cone's linear minimization runs over {||v||_inf <= BOX_FACTOR ||u||_inf}
+BOX_FACTOR = 10.0
 
 
 def _psi_of(op: EllipticOperator, values: np.ndarray) -> float:
@@ -66,8 +47,12 @@ def duality_gap(op: EllipticOperator, u: GridFunction, ustar: GridFunction) -> f
 
     Nonnegative up to solver rounding; zero exactly when u* = A u.
     """
-    pair = DualPair(u, ustar)
-    return _psi_of(op, u.values) + fenchel_conjugate_quadratic(op, ustar) - pair.pairing(op.weights)
+    if u.grid != ustar.grid:
+        raise ValueError("dual pair must share one grid")
+    pairing = weighted_inner(op.weights, ustar.values, u.values)
+    if not np.isfinite(pairing):
+        raise ValueError("dual pairing is not finite")
+    return _psi_of(op, u.values) + fenchel_conjugate_quadratic(op, ustar) - pairing
 
 
 def biconjugate_value(op: EllipticOperator, u: GridFunction) -> float:
@@ -78,33 +63,27 @@ def biconjugate_value(op: EllipticOperator, u: GridFunction) -> float:
     return weighted_inner(op.weights, u.values, z.values) - fenchel_conjugate_quadratic(op, z)
 
 
-def cone_box_bound(u: GridFunction, factor: float = DEFAULT_BOX_FACTOR) -> float:
+def cone_box_bound(u: GridFunction) -> float:
     """Compactness box for the cone's linear minimization.
 
     The cone is unbounded, so the infimum is taken over its intersection
-    with {||v||_inf <= B}.  Default B = factor * ||u||_inf, with a unit
-    floor when u vanishes identically (otherwise the box degenerates)."""
+    with {||v||_inf <= B}, B = BOX_FACTOR * ||u||_inf, with a unit floor
+    when u vanishes identically (otherwise the box degenerates)."""
     amp = float(np.max(np.abs(u.values)))
-    return factor * amp if amp > 0.0 else 1.0
+    return BOX_FACTOR * amp if amp > 0.0 else 1.0
 
 
-def vi_residual(
-    spec: ProblemSpec,
-    K: ConvexSet,
-    u: GridFunction,
-    tol: float = DEFAULT_MEMBERSHIP_TOL,
-    box_bound: float | None = None,
-) -> float:
+def vi_residual(spec: ProblemSpec, K: ConvexSet, u: GridFunction) -> float:
     """Variational-inequality residual rho(u) = -inf_{v in K} <g, v - u>_w
     with g = Psi'(u) - Phi'(u).
 
-    Always >= 0 up to rounding for u in K; rho <= tol certifies u as a
-    discrete constrained critical point.  For the ball the infimum is
-    attained in closed form at -r G/||G||_h2 with G the h2 Riesz
+    Always >= 0 up to rounding for u in K; rho <= DEFAULT_MEMBERSHIP_TOL
+    certifies u as a discrete constrained critical point.  For the ball the
+    infimum is attained in closed form at -r G/||G||_h2 with G the h2 Riesz
     representative of g; for the cone it is attained at a step-function
-    vertex of the cone boxed by ``box_bound``.
+    vertex of the cone boxed by ``cone_box_bound``.
     """
-    if not contains(K, u, tol):
+    if not contains(K, u, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("vi_residual requires a point inside the constraint set")
     g = psi_grad(spec, u).values - phi_grad(spec, u).values
     w = spec.weights
@@ -112,7 +91,7 @@ def vi_residual(
     if isinstance(K, H2Ball):
         _, g_h2 = K.geometry.riesz_norm(g)
         return g_dot_u + K.r * g_h2
-    B = cone_box_bound(u) if box_bound is None else box_bound
+    B = cone_box_bound(u)
     tails = np.cumsum((w * g)[::-1])[::-1]  # tails[k] = sum_{i >= k} w_i g_i
     lin_min = B * min(0.0, float(np.min(tails)))
     return g_dot_u - lin_min

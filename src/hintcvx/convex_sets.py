@@ -32,7 +32,7 @@ class H2Ball:
     geometry: H2Geometry | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.r <= 0.0:
+        if not self.r > 0.0:
             raise ValueError(f"ball radius must be positive, got r={self.r}")
         if self.geometry is None:
             self.geometry = H2Geometry(self.operator)
@@ -52,7 +52,7 @@ class MonotoneCone:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.grid.size,):
             raise ValueError("weights must have one entry per grid node")
-        if np.min(w) < 0.0:
+        if not np.all(w >= 0.0):
             raise ValueError("cone weights must be nonnegative")
         self.weights = w
 

@@ -264,37 +264,6 @@ def energy(spec: ProblemSpec, u: GridFunction) -> EnergyBreakdown:
     return EnergyBreakdown(psi=psi, phi=phi, total=psi - phi)
 
 
-@dataclass(frozen=True)
-class Norms:
-    l2: float
-    lp: float
-    h1: float
-    h2: float
-
-
-def norms(op: EllipticOperator, u: GridFunction, p: float = 2.0) -> Norms:
-    """Quadrature-weighted norms of u under the operator's geometry.
-
-    h1^2 = l2^2 + |grad u|^2 and h2^2 = h1^2 + ||A u||^2 with A the given
-    operator, following the operator-based definition of the second-order
-    term (an equivalent H^2 norm under the supported boundary conditions).
-    """
-    if u.grid != op.grid:
-        raise ValueError("grid function lives on a different grid than the operator")
-    v = u.values
-    w = op.weights
-    l2sq = float(np.dot(w, v * v))
-    semi = float(v @ (op.stiffness @ v))
-    av = op.apply(v)
-    opsq = float(np.dot(w, av * av))
-    return Norms(
-        l2=float(np.sqrt(l2sq)),
-        lp=float(np.dot(w, np.abs(v) ** p) ** (1.0 / p)),
-        h1=float(np.sqrt(l2sq + semi)),
-        h2=float(np.sqrt(l2sq + semi + opsq)),
-    )
-
-
 class H2Geometry:
     """The H^2 inner product <u,v>_w + <grad u, grad v> + <A u, A v>_w and
     its Riesz map for a fixed operator.

@@ -118,16 +118,6 @@ class Square2DGrid:
     def size(self) -> int:
         return self.m * self.m
 
-    def flat_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.m and 0 <= j < self.m):
-            raise IndexError(f"(i, j) = ({i}, {j}) outside interior {self.m}x{self.m}")
-        return j * self.m + i
-
-    def index_pair(self, k: int) -> tuple[int, int]:
-        if not (0 <= k < self.size):
-            raise IndexError(f"flat index {k} outside 0..{self.size - 1}")
-        return k % self.m, k // self.m
-
     @cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays (x, y) of all interior nodes in flat order."""
@@ -150,20 +140,6 @@ class Square2DGrid:
 
 
 Grid = RadialGrid | Square2DGrid
-
-
-def grid_from_json(doc: dict) -> tuple[Grid, str]:
-    """Rebuild (grid, bc) from the descriptor produced by ``to_json``."""
-    kind = doc.get("kind")
-    bc = doc.get("bc", DIRICHLET_ZERO)
-    _check_bc(bc)
-    if kind == "radial":
-        return RadialGrid(n=int(doc["n"]), dim=int(doc.get("dim", 1))), bc
-    if kind == "square2d":
-        if bc != DIRICHLET_ZERO:
-            raise ValueError("the square grid only supports dirichlet-zero conditions")
-        return Square2DGrid(m=int(doc["m"])), bc
-    raise ValueError(f"unknown grid kind {kind!r}")
 
 
 def _check_bc(bc: str) -> None:
@@ -193,8 +169,6 @@ class GridFunction:
             )
         if not np.isfinite(vals).all():
             raise ValueError("grid function values must be finite")
-        if isinstance(self.grid, Square2DGrid) and self.bc != DIRICHLET_ZERO:
-            raise ValueError("the square grid only supports dirichlet-zero functions")
         bnd = self.grid.boundary_indices(self.bc)
         if bnd.size and np.max(np.abs(vals[bnd])) > 1e-12:
             raise ValueError("dirichlet-zero function has nonzero boundary values")
@@ -227,10 +201,6 @@ def write_node_csv(path, grid: Grid, columns: dict) -> None:
         writer = csv.writer(fh)
         writer.writerow(cols)
         writer.writerows(zip(*cells))
-
-
-def zero_function(grid: Grid, bc: str = DIRICHLET_ZERO) -> GridFunction:
-    return GridFunction(grid, np.zeros(grid.size), bc)
 
 
 def quadrature_weights(grid: Grid) -> np.ndarray:
@@ -330,9 +300,6 @@ class EllipticOperator:
         result[self.active] = out[self.active] / self.weights[self.active]
         return result
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.apply(values)
-
     def solve_form(self, rhs_values: np.ndarray) -> np.ndarray:
         """Solve A x = rhs in the weighted pairing, i.e. form x = W rhs, by
         the cached direct factorization.  Inactive entries of rhs are ignored."""
@@ -358,8 +325,6 @@ def build_radial_laplacian(grid: RadialGrid, bc: str, kind: str = NEG_LAPLACIAN)
     _check_bc(bc)
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
-    if grid.n < 3:
-        raise ValueError("radial operator needs n >= 3")
     n, h = grid.n, grid.h
     omega = sphere_area(grid.dim)
     mid = (np.arange(n - 1) + 0.5) * h
@@ -385,8 +350,6 @@ def build_radial_laplacian(grid: RadialGrid, bc: str, kind: str = NEG_LAPLACIAN)
 
 def build_2d_laplacian(grid: Square2DGrid) -> EllipticOperator:
     """Standard 5-point negative Laplacian on the unit square, zero Dirichlet."""
-    if grid.m < 2:
-        raise ValueError("2d operator needs m >= 2")
     m = grid.m
     T = sp.diags([-np.ones(m - 1), 2 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
     eye = sp.identity(m)

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_analysis import (
-    cone_box_bound,
-    duality_gap,
-    equality10_defect,
-    vi_residual,
-)
+from .convex_analysis import cone_box_bound, duality_gap, equality10_defect
 from .convex_sets import (
     DEFAULT_MEMBERSHIP_TOL,
     ConvexSet,
@@ -57,6 +52,12 @@ VERDICT_CERTIFIED = "certified"
 VERDICT_STEP_II_FAILED = "step-ii-failed"
 VERDICT_NOT_CRITICAL = "not-critical"
 _WINDOW_TOL = 1e-10
+# cone_endpoint doubles its constant at most this often
+ENDPOINT_DOUBLINGS = 60
+# forcing_threshold_probe: first amplitude, doublings and bisection steps
+PROBE_S_START = 1e-2
+PROBE_DOUBLINGS = 40
+PROBE_BISECTIONS = 24
 
 
 def _validate_window_params(C1: float, mu: float, p: float, q: float) -> None:
@@ -70,12 +71,13 @@ def _validate_window_params(C1: float, mu: float, p: float, q: float) -> None:
         raise ValueError(f"exponents must satisfy 1 < q < 2 < p, got q={q}, p={p}")
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = _WINDOW_TOL) -> float:
-    """Bisection for the sign change of fn on [lo, hi] to absolute tol, or
-    until no double lies strictly between lo and hi (brackets above ~5e5
-    are wider than tol at their float spacing)."""
+def _bisect(fn, lo: float, hi: float) -> float:
+    """Bisection for the sign change of fn on [lo, hi] to absolute
+    _WINDOW_TOL, or until no double lies strictly between lo and hi
+    (brackets above ~5e5 are wider than _WINDOW_TOL at their float
+    spacing)."""
     flo = fn(lo)
-    while hi - lo > tol:
+    while hi - lo > _WINDOW_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -178,11 +180,11 @@ def ball_start(spec: ProblemSpec, r: float) -> GridFunction:
     return spec.function(vals * (0.1 * r / nrm))
 
 
-def cone_endpoint(spec: ProblemSpec, max_doublings: int = 60) -> GridFunction:
+def cone_endpoint(spec: ProblemSpec) -> GridFunction:
     """Path endpoint e = t * 1 with t doubled until I(e) <= 0."""
     ones = np.ones(spec.grid.size)
     t = 1.0
-    for _ in range(max_doublings):
+    for _ in range(ENDPOINT_DOUBLINGS):
         e = spec.function(t * ones)
         with np.errstate(over="ignore", invalid="ignore"):
             val = energy(spec, e).total
@@ -198,12 +200,7 @@ def strong_residual(spec: ProblemSpec, u: GridFunction) -> float:
     return float(np.sqrt(weighted_inner(spec.weights, g, g)))
 
 
-def step_ii_verify(
-    spec: ProblemSpec,
-    K: ConvexSet,
-    u0: GridFunction,
-    tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> tuple[GridFunction, bool, dict]:
+def step_ii_verify(spec: ProblemSpec, K: ConvexSet, u0: GridFunction) -> tuple[GridFunction, bool, dict]:
     """Second pipeline stage: solve A v0 = Phi'(u0) and test v0 in K.
 
     The returned diagnostics hold both sides of the a-priori regularity
@@ -212,7 +209,7 @@ def step_ii_verify(
     """
     rhs = phi_grad(spec, u0)
     v0 = linear_solve(spec.operator, rhs)
-    in_k = contains(K, v0, tol)
+    in_k = contains(K, v0, DEFAULT_MEMBERSHIP_TOL)
     u0_h2 = spec.geometry.h2_norm(u0.values)
     v0_h2 = spec.geometry.h2_norm(v0.values)
     chain = spec.C1 * (u0_h2 ** (spec.p - 1.0))
@@ -283,12 +280,7 @@ class SolverReport:
     reason: str
 
 
-def run_problem(
-    spec: ProblemSpec,
-    cfg: SolverConfig | None = None,
-    tol: float = DEFAULT_MEMBERSHIP_TOL,
-    tol_strong: float = DEFAULT_TOL_STRONG,
-) -> tuple[Certificate, SolverReport]:
+def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Certificate, SolverReport]:
     """Full pipeline: solve stage (i), verify stage (ii), assemble the
     certificate.
 
@@ -339,8 +331,10 @@ def run_problem(
             trace = exc.trace
         return cert, SolverReport(trace, len(trace), "error")
 
+    # stage i's last trace row holds u0's energy and VI residual
     cert.u0 = u0
-    cert.energy = energy(spec, u0).total
+    cert.energy = trace.rows[-1][1]
+    cert.vi_residual = trace.rows[-1][2]
     cert.mountain_pass_value = c_value
     if isinstance(K, MonotoneCone):
         vals = u0.values
@@ -349,8 +343,7 @@ def run_problem(
         cert.box_bound = cone_box_bound(u0)
 
     try:
-        cert.vi_residual = vi_residual(spec, K, u0, tol)
-        v0, in_k, diag = step_ii_verify(spec, K, u0, tol)
+        v0, in_k, diag = step_ii_verify(spec, K, u0)
         cert.v0 = v0
         cert.v0_in_K = in_k
         cert.u0_h2_norm = diag["u0_h2"]
@@ -362,9 +355,9 @@ def run_problem(
         cert.error = f"step-ii: {exc}"
         return cert, SolverReport(trace, len(trace), trace.reason)
 
-    if cert.vi_residual > tol:
+    if cert.vi_residual > DEFAULT_MEMBERSHIP_TOL:
         cert.verdict = VERDICT_NOT_CRITICAL
-        cert.detail = f"vi residual {cert.vi_residual:.3e} above tol {tol:.1e}"
+        cert.detail = f"vi residual {cert.vi_residual:.3e} above tol {DEFAULT_MEMBERSHIP_TOL:.1e}"
     elif not in_k:
         cert.verdict = VERDICT_STEP_II_FAILED
         cert.detail = (
@@ -372,11 +365,9 @@ def run_problem(
             if isinstance(K, H2Ball)
             else "v0 left the monotone cone"
         )
-    elif cert.strong_residual > tol_strong:
+    elif cert.strong_residual > DEFAULT_TOL_STRONG:
         cert.verdict = VERDICT_NOT_CRITICAL
-        cert.detail = (
-            f"strong residual {cert.strong_residual:.3e} above tol {tol_strong:.1e}"
-        )
+        cert.detail = f"strong residual {cert.strong_residual:.3e} above tol {DEFAULT_TOL_STRONG:.1e}"
     else:
         cert.verdict = VERDICT_CERTIFIED
 
@@ -415,17 +406,15 @@ def forcing_threshold_probe(
     spec_template: ProblemSpec,
     r: float,
     cfg: SolverConfig | None = None,
-    s_start: float = 1e-2,
-    max_doublings: int = 40,
-    bisection_steps: int = 24,
     trace_out: list | None = None,
 ) -> float:
     """Empirical forcing threshold: largest certified amplitude s along the
     normalized direction of the template's forcing.
 
-    Doubles s until certification fails, then bisects; returns the last
-    certified amplitude.  Certification is assumed monotone in s within a
-    run; observed flips are logged as warnings (and visible in
+    Doubles s from PROBE_S_START until certification fails (at most
+    PROBE_DOUBLINGS times), then bisects PROBE_BISECTIONS times; returns
+    the last certified amplitude.  Certification is assumed monotone in s
+    within a run; observed flips are logged as warnings (and visible in
     ``trace_out`` when provided).
     """
     cfg = cfg or SolverConfig()
@@ -439,8 +428,8 @@ def forcing_threshold_probe(
     if not certified(0.0):
         raise RuntimeError("pipeline failed to certify the zero forcing; internal error")
 
-    s_lo, s_hi = 0.0, s_start
-    for _ in range(max_doublings):
+    s_lo, s_hi = 0.0, PROBE_S_START
+    for _ in range(PROBE_DOUBLINGS):
         if not certified(s_hi):
             break
         s_lo = s_hi
@@ -449,7 +438,7 @@ def forcing_threshold_probe(
         logger.warning("forcing probe never failed up to s = %.3e", s_lo)
         return s_lo
 
-    for _ in range(bisection_steps):
+    for _ in range(PROBE_BISECTIONS):
         mid = 0.5 * (s_lo + s_hi)
         if certified(mid):
             s_lo = mid

@@ -38,6 +38,7 @@ from .convex_sets import (
 )
 from .functionals import (
     NEUMANN_RADIAL,
+    FieldError,
     ProblemSpec,
     energy,
     phi_grad,
@@ -50,6 +51,11 @@ from .grid import EllipticOperator, GridFunction, weighted_inner
 logger = logging.getLogger("hintcvx.solvers")
 
 TRACE_HEADER = ("k", "energy", "vi_residual", "step", "h2_norm")
+# line search: first trial step, Armijo sufficient-decrease constant, and
+# the backtracking factor applied at most MAX_BACKTRACKS times
+STEP0 = 1.0
+ARMIJO_C = 1e-4
+SHRINK = 0.5
 MAX_BACKTRACKS = 60
 # Stage-ii contract ||A v - b||_w <= LINEAR_SOLVE_RTOL ||b||_w + floor, where
 # floor bounds the rounding of evaluating A v - b itself (_residual_floor).
@@ -79,9 +85,6 @@ class MPGError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
-    step0: float = 1.0
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     tol_residual: float = 1e-10
     tol_step: float = 1e-13
     # a label echoed into the certificate; the pipeline is deterministic,
@@ -90,14 +93,10 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        for name in ("step0", "tol_residual", "tol_step"):
+            raise FieldError("max_iters", "max_iters must be at least 1")
+        for name in ("tol_residual", "tol_step"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError("armijo_shrink must lie in (0, 1)")
+                raise FieldError(name, f"{name} must be positive")
 
 
 @dataclass
@@ -112,9 +111,6 @@ class IterTrace:
 
     def energies(self) -> np.ndarray:
         return np.array([row[1] for row in self.rows])
-
-    def residuals(self) -> np.ndarray:
-        return np.array([row[2] for row in self.rows])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -198,7 +194,7 @@ def _descent_directions(spec: ProblemSpec, K: ConvexSet, g: np.ndarray):
         yield g
 
 
-def _armijo_search(spec, K, u, value, g, cfg):
+def _armijo_search(spec, K, u, value, g):
     """Backtracking line search over the candidate directions.
 
     Accepts the first projected point with sufficient decrease
@@ -207,14 +203,14 @@ def _armijo_search(spec, K, u, value, g, cfg):
     """
     wg = spec.weights * g
     for direction in _descent_directions(spec, K, g):
-        tau = cfg.step0
+        tau = STEP0
         for _ in range(MAX_BACKTRACKS):
             cand = project(K, u.with_values(u.values - tau * direction))
             pred = float(wg @ (cand.values - u.values))
             cand_value = _energy_total(spec, cand)
-            if np.isfinite(cand_value) and pred <= 0.0 and cand_value <= value + cfg.armijo_c * pred:
+            if np.isfinite(cand_value) and pred <= 0.0 and cand_value <= value + ARMIJO_C * pred:
                 return cand, cand_value, tau
-            tau *= cfg.armijo_shrink
+            tau *= SHRINK
     return None
 
 
@@ -222,10 +218,12 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
     """Stage-i loop shared by both drivers.
 
     Records one trace row per iterate and stops when the VI residual drops
-    below ``tol_residual``, when ``step(u, value)`` finds no acceptable
-    point (it returns ``(cand, cand_value, tau)`` or None), when the metric
-    step drops below ``tol_step``, or at ``max_iters``.  The last two leave
-    the last accepted point without a row, so it gets a final one.
+    below ``tol_residual``, when ``step(u, value, rho)`` finds no
+    acceptable point (it returns ``(cand, cand_value, tau)`` or None; rho
+    is the VI residual at u), when the metric step drops below
+    ``tol_step``, or at ``max_iters``.  The last two leave the last
+    accepted point without a row, so it gets a final one.  The last row
+    always holds the returned point's energy and VI residual.
     """
     trace = IterTrace()
     step_prev = float("nan")
@@ -235,7 +233,7 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
         if rho <= cfg.tol_residual:
             trace.reason = "vi_residual"
             return u, trace
-        result = step(u, value)
+        result = step(u, value, rho)
         if result is None:
             trace.reason = "line-search-stalled"
             return u, trace
@@ -271,8 +269,8 @@ def projected_gradient_minimize(
     if not np.isfinite(value):
         raise DivergenceError("initial energy is not finite", IterTrace())
 
-    def armijo_step(u, value):
-        return _armijo_search(spec, K, u, value, _gradient(spec, u), cfg)
+    def armijo_step(u, value, rho):
+        return _armijo_search(spec, K, u, value, _gradient(spec, u))
 
     u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)
     logger.info("projected gradient terminated (%s) after %d rows", trace.reason, len(trace))
@@ -325,16 +323,15 @@ def mountain_pass(
     if not np.isfinite(value):
         raise DivergenceError("initial ray-maximum energy is not finite", IterTrace())
 
-    def ridge_step(u, value):
+    def ridge_step(u, value, rho):
         direction = spec.operator.solve_form(_gradient(spec, u))
-        rho = vi_residual(spec, K, u)
         # acceptance at each step size: ridge-merit decrease beyond the
         # quadratic-form rounding floor, or failing that a halved VI
         # residual (near the saddle the merit gap scales like distance^2 and
         # falls under float resolution, while the residual the loop stops
         # on keeps contracting)
         merit_floor = 1e-13 * (1.0 + abs(value))
-        tau = cfg.step0
+        tau = STEP0
         for _ in range(MAX_BACKTRACKS):
             cand = ray_rescale(spec, project(K, u.with_values(u.values - tau * direction)))
             cand_value = _energy_total(spec, cand)
@@ -342,10 +339,10 @@ def mountain_pass(
                 cand_value < value - merit_floor or vi_residual(spec, K, cand) < 0.5 * rho
             ):
                 return cand, cand_value, tau
-            tau *= cfg.armijo_shrink
+            tau *= SHRINK
         return None
 
     u, trace = _descend(spec, K, u, value, cfg, ridge_step)
-    c = _energy_total(spec, u)
+    c = trace.rows[-1][1]
     logger.info("mountain pass terminated (%s), c = %.6e", trace.reason, c)
     return u, trace, c

@@ -69,7 +69,7 @@ class TestSolveCommand:
         assert "problem.smoothing" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "section, key, value", [("problem", "r", float("nan")), ("solver", "step0", float("inf"))]
+        "section, key, value", [("problem", "r", float("nan")), ("solver", "tol_step", float("inf"))]
     )
     def test_non_finite_number_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "out")
@@ -78,13 +78,24 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["cg_tol", "cg_max_iters", "path_nodes"])
+    @pytest.mark.parametrize(
+        "key", ["cg_tol", "cg_max_iters", "path_nodes", "step0", "armijo_c", "armijo_shrink"]
+    )
     def test_removed_cg_keys_rejected(self, tmp_path, capsys, key):
+        # each value was a valid setting where the key still existed
+        values = {"cg_tol": 1e-9, "step0": 1.0, "armijo_c": 1e-4, "armijo_shrink": 0.5}
         doc = base_config(tmp_path / "out")
-        doc["solver"][key] = 1e-9 if key == "cg_tol" else 100
+        doc["solver"][key] = values.get(key, 100)
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", str(cfg)]) == 1
         assert f"solver.{key}" in capsys.readouterr().err
+
+    def test_solver_range_error_names_field(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "out")
+        doc["solver"]["max_iters"] = 0
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "solver.max_iters" in capsys.readouterr().err
 
     def test_oversized_integer_literal_is_config_error(self, tmp_path, capsys):
         # json.load raises a plain ValueError past the int-string digit limit

@@ -84,6 +84,16 @@ class TestDualityGap:
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=1e-6)
         assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=1e-6)
 
+    def test_rejects_grid_mismatch_and_non_finite_pairing(self, op1d, grid1d):
+        u = random_dirichlet(grid1d, 0)
+        other = hx.RadialGrid(n=9, dim=1)
+        with pytest.raises(ValueError, match="share one grid"):
+            hx.duality_gap(op1d, u, hx.GridFunction(other, np.zeros(9)))
+        # finite values whose weighted pairing overflows
+        huge = u.with_values(1e200 * u.values)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            hx.duality_gap(op1d, huge, huge)
+
 
 class TestBiconjugate:
     @pytest.mark.parametrize("seed", range(5))
@@ -168,16 +178,3 @@ class TestEquality10:
         d = v0.values - u0.values
         direct = 0.5 * float(d @ (op1d.form @ d))
         assert abs(hx.equality10_defect(op1d, u0, v0) - direct) <= 1e-10 * max(1.0, direct)
-
-
-class TestDualPair:
-    def test_pairing_and_grid_check(self, grid1d, op1d):
-        u = random_dirichlet(grid1d, 0)
-        v = random_dirichlet(grid1d, 1)
-        pair = hx.DualPair(u, v)
-        assert pair.pairing(op1d.weights) == pytest.approx(
-            weighted_inner(op1d.weights, v.values, u.values)
-        )
-        other = hx.RadialGrid(n=9, dim=1)
-        with pytest.raises(ValueError):
-            hx.DualPair(u, hx.GridFunction(other, np.zeros(9)))

@@ -31,6 +31,19 @@ def neumann(grid, vals):
     return hx.GridFunction(grid, vals, hx.NEUMANN_ZERO)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+    def test_ball_rejects_non_positive_radius(self, op1d, r):
+        with pytest.raises(ValueError, match="radius"):
+            hx.H2Ball(r, op1d)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_cone_rejects_bad_weights(self, bad):
+        grid = hx.RadialGrid(n=4, dim=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hx.MonotoneCone(grid, np.array([1.0, bad, 1.0, 1.0]))
+
+
 class TestMembership:
     def test_origin_in_every_ball(self, ball, grid1d):
         assert hx.contains(ball, hx.GridFunction(grid1d, np.zeros(grid1d.size)))

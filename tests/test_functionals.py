@@ -207,37 +207,36 @@ class TestPhi:
 
 class TestNormsAndEnergy:
     def test_zero_function_norms(self, cc_spec):
-        n = hx.norms(cc_spec.operator, cc_spec.zero(), p=cc_spec.p)
-        assert n.l2 == n.lp == n.h1 == n.h2 == 0.0
+        assert cc_spec.geometry.h2_norm(cc_spec.zero().values) == 0.0
 
     @given(c=st.floats(min_value=-8.0, max_value=8.0).filter(lambda x: abs(x) > 1e-3))
     @settings(max_examples=20, deadline=None)
     def test_norm_homogeneity(self, c):
         g = hx.RadialGrid(n=21, dim=1)
-        op = hx.build_radial_laplacian(g, hx.DIRICHLET_ZERO)
+        geo = hx.H2Geometry(hx.build_radial_laplacian(g, hx.DIRICHLET_ZERO))
         u = random_dirichlet(g, 42)
-        base = hx.norms(op, u, p=3.0)
-        scaled = hx.norms(op, u.with_values(c * u.values), p=3.0)
-        for name in ("l2", "lp", "h1", "h2"):
-            assert np.isclose(getattr(scaled, name), abs(c) * getattr(base, name), rtol=1e-10)
+        assert np.isclose(geo.h2_norm(c * u.values), abs(c) * geo.h2_norm(u.values), rtol=1e-10)
 
     def test_sine_profile_norms(self):
         g = hx.RadialGrid(n=201, dim=1)
         op = hx.build_radial_laplacian(g, hx.DIRICHLET_ZERO)
         vals = np.sin(np.pi * g.nodes)
         vals[0] = vals[-1] = 0.0
-        u = hx.GridFunction(g, vals, hx.DIRICHLET_ZERO)
-        n = hx.norms(op, u, p=2.0)
-        h1_semi_sq = n.h1**2 - n.l2**2
+        h1_semi_sq = float(vals @ (op.stiffness @ vals))
         assert abs(h1_semi_sq - np.pi**2 / 2) <= 20 * g.h**2
         # second-order term dominates: ||A u|| ~ pi^2 ||u||_l2
-        op_term = np.sqrt(n.h2**2 - n.h1**2)
-        assert abs(op_term - np.pi**2 * n.l2) <= 0.01 * np.pi**2 * n.l2
+        av = op.apply(vals)
+        op_term = np.sqrt(weighted_inner(op.weights, av, av))
+        l2 = np.sqrt(weighted_inner(op.weights, vals, vals))
+        assert abs(op_term - np.pi**2 * l2) <= 0.01 * np.pi**2 * l2
+        # the h2 norm is the sum of the three terms
+        h2 = hx.H2Geometry(op).h2_norm(vals)
+        assert h2**2 == pytest.approx(l2**2 + h1_semi_sq + op_term**2, rel=1e-12)
 
     def test_h2_zero_iff_zero(self, op1d, grid1d):
-        u = random_dirichlet(grid1d, 9)
-        assert hx.norms(op1d, u).h2 > 1e-12
-        assert hx.norms(op1d, hx.GridFunction(grid1d, np.zeros(grid1d.size))).h2 <= 1e-12
+        geo = hx.H2Geometry(op1d)
+        assert geo.h2_norm(random_dirichlet(grid1d, 9).values) > 1e-12
+        assert geo.h2_norm(np.zeros(grid1d.size)) <= 1e-12
 
     def test_energy_identity_bitwise(self, cc_spec):
         u = random_dirichlet(cc_spec.grid, 13, scale=0.3)

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.grid import grid_from_json, sphere_area, weighted_inner
+from hintcvx.grid import sphere_area, weighted_inner
 
 from conftest import random_dirichlet
 
@@ -28,26 +26,6 @@ class TestGrids:
     def test_square_rejects_small_m(self):
         with pytest.raises(ValueError):
             hx.Square2DGrid(m=1)
-
-    def test_square_index_map_bijective(self):
-        g = hx.Square2DGrid(m=5)
-        seen = set()
-        for j in range(g.m):
-            for i in range(g.m):
-                k = g.flat_index(i, j)
-                assert g.index_pair(k) == (i, j)
-                seen.add(k)
-        assert seen == set(range(g.size))
-
-    def test_grid_json_roundtrip(self):
-        for grid, bc in [
-            (hx.RadialGrid(n=11, dim=3), hx.NEUMANN_ZERO),
-            (hx.RadialGrid(n=9, dim=1), hx.DIRICHLET_ZERO),
-            (hx.Square2DGrid(m=4), hx.DIRICHLET_ZERO),
-        ]:
-            doc = json.loads(json.dumps(grid.to_json(bc)))
-            grid2, bc2 = grid_from_json(doc)
-            assert grid2 == grid and bc2 == bc
 
 
 class TestGridFunction:

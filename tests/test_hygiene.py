@@ -22,7 +22,9 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # only a read counts: a store of the same name (a dataclass field
+    # annotation, say) does not use the import
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
