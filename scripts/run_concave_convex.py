@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 import hintcvx as hx
-from hintcvx.principle import default_radius, run_problem
+from hintcvx.principle import run_problem
 
 
 def main():
@@ -33,7 +33,7 @@ def main():
         spec = hx.ProblemSpec(family="concave-convex", grid=grid, p=args.p, q=args.q,
                               mu=mu, C1=args.C1)
         cert, report = run_problem(spec)
-        window = hx.radius_window(args.C1, mu, args.p, args.q)
+        window = cert.window
         rows.append({
             "mu_fraction": frac,
             "mu": mu,
@@ -48,7 +48,7 @@ def main():
             "iterations": report.iterations,
         })
         print(f"  mu = {frac:.2f} mu*: {cert.verdict}, I = {cert.energy:+.3e}, "
-              f"r = {default_radius(window):.4f}, iters = {report.iterations}")
+              f"r = {cert.problem['r']:.4f}, iters = {report.iterations}")
 
     with open(out / "sweep.json", "w") as fh:
         json.dump(rows, fh, indent=2)

@@ -28,9 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import NONHOMOGENEOUS, FieldError, ProblemSpec
+from .functionals import ProblemSpec
 from .grid import (
     DIRICHLET_ZERO,
+    FieldError,
     GridFunction,
     NEUMANN_ZERO,
     RadialGrid,
@@ -39,8 +40,8 @@ from .grid import (
 )
 from .principle import (
     VERDICT_CERTIFIED,
+    ball_radius,
     certified_at_amplitude,
-    default_radius,
     forcing_threshold_probe,
     mu_star,
     non_monotone_flips,
@@ -91,21 +92,15 @@ def _number(doc: dict, key: str, path: str, default=None):
 def _build_grid(doc, path: str):
     doc = _require_mapping(doc, path)
     kind = doc.get("kind")
-    if kind == "radial":
-        _check_keys(doc, {"kind", "n", "dim", "bc"}, {"kind", "n"}, path)
-        n = doc["n"]
-        if not isinstance(n, int) or n < 3:
-            raise ConfigError(f"{path}.n", f"expected an integer >= 3, got {n!r}")
-        dim = doc.get("dim", 1)
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError(f"{path}.dim", f"expected an integer >= 1, got {dim!r}")
-        return RadialGrid(n=n, dim=dim)
-    if kind == "square2d":
-        _check_keys(doc, {"kind", "m", "bc"}, {"kind", "m"}, path)
-        m = doc["m"]
-        if not isinstance(m, int) or m < 2:
-            raise ConfigError(f"{path}.m", f"expected an integer >= 2, got {m!r}")
-        return Square2DGrid(m=m)
+    try:
+        if kind == "radial":
+            _check_keys(doc, {"kind", "n", "dim", "bc"}, {"kind", "n"}, path)
+            return RadialGrid(n=doc["n"], dim=doc.get("dim", 1))
+        if kind == "square2d":
+            _check_keys(doc, {"kind", "m", "bc"}, {"kind", "m"}, path)
+            return Square2DGrid(m=doc["m"])
+    except FieldError as exc:
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
     raise ConfigError(f"{path}.kind", f"expected 'radial' or 'square2d', got {kind!r}")
 
 
@@ -160,16 +155,19 @@ def build_problem_spec(doc, path: str = "problem") -> ProblemSpec:
         f_bc = DIRICHLET_ZERO if isinstance(grid, Square2DGrid) else NEUMANN_ZERO
         f = _build_profile(doc["f"], grid, f_bc, f"{path}.f")
     if "a" in doc:
-        if not isinstance(grid, RadialGrid):
-            raise ConfigError(f"{path}.a", "the weight a needs a radial grid")
         a = _build_profile(doc["a"], grid, NEUMANN_ZERO, f"{path}.a")
 
     # absent keys take the ProblemSpec defaults
     numbers = {key: _number(doc, key, path) for key in ("p", "q", "mu", "C1", "r") if key in doc}
     try:
-        return ProblemSpec(family=doc["family"], grid=grid, f=f, a=a, **numbers)
+        spec = ProblemSpec(family=doc["family"], grid=grid, f=f, a=a, **numbers)
     except FieldError as exc:
         raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
+    # the family fixes the boundary condition; the key may only restate it
+    bc = doc["grid"].get("bc", spec.bc)
+    if bc != spec.bc:
+        raise ConfigError(f"{path}.grid.bc", f"{spec.family} needs {spec.bc!r}, got {bc!r}")
+    return spec
 
 
 def build_solver_config(doc, path: str = "solver") -> SolverConfig:
@@ -234,20 +232,28 @@ def parse_config(path) -> RunConfig:
     return RunConfig(spec=spec, solver=solver, output_dir=output_dir, emit=emit)
 
 
-def cmd_solve(args) -> int:
+def _load(args) -> RunConfig | None:
+    """Parse ``--config`` and apply ``--seed``; on a config error, print it
+    and return None."""
     try:
         run_cfg = parse_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    solver = run_cfg.solver
+        return None
     if args.seed is not None:
-        solver = dataclasses.replace(solver, seed=args.seed)
+        run_cfg.solver = dataclasses.replace(run_cfg.solver, seed=args.seed)
+    return run_cfg
+
+
+def cmd_solve(args) -> int:
+    run_cfg = _load(args)
+    if run_cfg is None:
+        return 1
     out_dir = Path(args.out or run_cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        cert, report = run_problem(run_cfg.spec, solver)
+        cert, report = run_problem(run_cfg.spec, run_cfg.solver)
     except ValueError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return 1
@@ -288,25 +294,11 @@ def cmd_window(args) -> int:
 
 
 def cmd_probe_lambda(args) -> int:
-    try:
-        run_cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    run_cfg = _load(args)
+    if run_cfg is None:
         return 1
-    spec = run_cfg.spec
-    if spec.family != NONHOMOGENEOUS:
-        print(
-            f"probe-lambda needs a nonhomogeneous config, got family {spec.family!r}",
-            file=sys.stderr,
-        )
-        return 1
-    solver = run_cfg.solver
-    if args.seed is not None:
-        solver = dataclasses.replace(solver, seed=args.seed)
-    r = spec.r
-    if r is None:
-        window = radius_window(spec.C1, 0.0, spec.p, 1.5)
-        r = default_radius(window)
+    spec, solver = run_cfg.spec, run_cfg.solver
+    _, r = ball_radius(spec)
     evaluations: list = []
     try:
         lam = forcing_threshold_probe(spec, r, solver, trace_out=evaluations)

@@ -19,7 +19,7 @@ from .convex_sets import (
     MembershipError,
     contains,
 )
-from .functionals import ProblemSpec, phi_grad, psi_grad
+from .functionals import ProblemSpec, energy_grad
 from .grid import EllipticOperator, GridFunction, weighted_inner
 
 # the cone's linear minimization runs over {||v||_inf <= BOX_FACTOR ||u||_inf}
@@ -85,7 +85,7 @@ def vi_residual(spec: ProblemSpec, K: ConvexSet, u: GridFunction) -> float:
     """
     if not contains(K, u, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("vi_residual requires a point inside the constraint set")
-    g = psi_grad(spec, u).values - phi_grad(spec, u).values
+    g = energy_grad(spec, u)
     w = spec.weights
     g_dot_u = weighted_inner(w, g, u.values)
     if isinstance(K, H2Ball):

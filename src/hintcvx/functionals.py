@@ -29,6 +29,7 @@ from .grid import (
     NEG_LAPLACIAN_PLUS_ID,
     NEUMANN_ZERO,
     EllipticOperator,
+    FieldError,
     Grid,
     GridFunction,
     RadialGrid,
@@ -43,14 +44,6 @@ NONHOMOGENEOUS = "nonhomogeneous"
 NEUMANN_RADIAL = "neumann-radial"
 FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS, NEUMANN_RADIAL)
 BALL_FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS)
-
-
-class FieldError(ValueError):
-    """Invalid ``ProblemSpec`` parameter; ``field`` names the offending one."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 class DegenerateInputError(ValueError):
@@ -250,6 +243,12 @@ def phi_grad(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     return GridFunction(spec.grid, out, u.bc)
 
 
+def energy_grad(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
+    """Values of I'(u) = Psi'(u) - Phi'(u) in the weighted pairing, which is
+    also the residual A u - Phi'(u) of the strong equation."""
+    return psi_grad(spec, u).values - phi_grad(spec, u).values
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     psi: float
@@ -258,10 +257,15 @@ class EnergyBreakdown:
 
 
 def energy(spec: ProblemSpec, u: GridFunction) -> EnergyBreakdown:
-    """I(u) = Psi(u) - Phi(u), assembled exactly from the two evaluations."""
-    psi = psi_value(spec, u)
-    phi = phi_value(spec, u)
-    return EnergyBreakdown(psi=psi, phi=phi, total=psi - phi)
+    """I(u) = Psi(u) - Phi(u), assembled exactly from the two evaluations.
+
+    A point whose energy overflows gets a non-finite total, without a
+    warning; callers test ``np.isfinite`` on it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = psi_value(spec, u)
+        phi = phi_value(spec, u)
+        return EnergyBreakdown(psi=psi, phi=phi, total=psi - phi)
 
 
 class H2Geometry:

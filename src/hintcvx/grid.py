@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,6 +36,20 @@ BC_TAGS = (DIRICHLET_ZERO, NEUMANN_ZERO)
 NEG_LAPLACIAN = "neg-laplacian"
 NEG_LAPLACIAN_PLUS_ID = "neg-laplacian-plus-identity"
 OPERATOR_KINDS = (NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID)
+
+
+class FieldError(ValueError):
+    """Invalid constructor argument; ``field`` names the offending one."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_count(name: str, value, least: int) -> None:
+    # bool is an int subclass, but true is no node count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise FieldError(name, f"expected an integer {name} >= {least}, got {name}={value!r}")
 
 
 class RankDeficiencyError(ValueError):
@@ -62,10 +77,8 @@ class RadialGrid:
     dim: int = 1
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"radial grid needs n >= 3, got n={self.n}")
-        if self.dim < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got dim={self.dim}")
+        _check_count("n", self.n, 3)
+        _check_count("dim", self.dim, 1)
 
     @property
     def h(self) -> float:
@@ -83,7 +96,8 @@ class RadialGrid:
 
     def boundary_indices(self, bc: str) -> np.ndarray:
         """Indices pinned to zero under the given boundary condition."""
-        _check_bc(bc)
+        if bc not in BC_TAGS:
+            raise ValueError(f"unknown boundary condition tag {bc!r}; expected one of {BC_TAGS}")
         if bc == NEUMANN_ZERO:
             return np.array([], dtype=int)
         if self.dim == 1:
@@ -91,7 +105,6 @@ class RadialGrid:
         return np.array([self.n - 1], dtype=int)
 
     def to_json(self, bc: str) -> dict:
-        _check_bc(bc)
         return {"kind": "radial", "n": self.n, "dim": self.dim, "bc": bc}
 
 
@@ -107,8 +120,7 @@ class Square2DGrid:
     m: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"2d grid needs m >= 2 interior points per axis, got m={self.m}")
+        _check_count("m", self.m, 2)
 
     @property
     def h(self) -> float:
@@ -134,17 +146,10 @@ class Square2DGrid:
         return np.array([], dtype=int)  # boundary nodes are not stored
 
     def to_json(self, bc: str) -> dict:
-        if bc != DIRICHLET_ZERO:
-            raise ValueError("the square grid only supports dirichlet-zero conditions")
         return {"kind": "square2d", "m": self.m, "bc": bc}
 
 
 Grid = RadialGrid | Square2DGrid
-
-
-def _check_bc(bc: str) -> None:
-    if bc not in BC_TAGS:
-        raise ValueError(f"unknown boundary condition tag {bc!r}; expected one of {BC_TAGS}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,6 @@ class GridFunction:
     bc: str = DIRICHLET_ZERO
 
     def __post_init__(self):
-        _check_bc(self.bc)
         vals = np.array(self.values, dtype=float, copy=True)
         if vals.shape != (self.grid.size,):
             raise ValueError(
@@ -169,7 +173,7 @@ class GridFunction:
             )
         if not np.isfinite(vals).all():
             raise ValueError("grid function values must be finite")
-        bnd = self.grid.boundary_indices(self.bc)
+        bnd = self.grid.boundary_indices(self.bc)  # also rejects an unknown or unsupported tag
         if bnd.size and np.max(np.abs(vals[bnd])) > 1e-12:
             raise ValueError("dirichlet-zero function has nonzero boundary values")
         vals.flags.writeable = False
@@ -322,7 +326,6 @@ def build_radial_laplacian(grid: RadialGrid, bc: str, kind: str = NEG_LAPLACIAN)
     reproduces the symmetric ghost-point treatment of the center node
     (regularity u'(0) = 0) and the natural Neumann condition at r = 1.
     """
-    _check_bc(bc)
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
     n, h = grid.n, grid.h

@@ -30,8 +30,8 @@ from .functionals import (
     NONHOMOGENEOUS,
     ProblemSpec,
     energy,
+    energy_grad,
     phi_grad,
-    psi_grad,
 )
 from .grid import GridFunction, RadialGrid, weighted_inner
 from .solvers import (
@@ -154,12 +154,15 @@ def default_radius(window: tuple[float, float]) -> float:
     return math.sqrt(r1 * r2)
 
 
-def constraint_set(spec: ProblemSpec, r: float | None = None) -> ConvexSet:
-    if spec.family in BALL_FAMILIES:
-        if r is None:
-            raise ValueError("ball families need a constraint radius")
-        return H2Ball(r, spec.operator, spec.geometry)
-    return MonotoneCone(spec.grid, spec.weights)
+def ball_radius(spec: ProblemSpec) -> tuple[tuple[float, float] | None, float | None]:
+    """Radius window of a ball spec and the radius its run uses: ``spec.r``
+    when given, else the window's default radius (None when the window is
+    empty)."""
+    window = radius_window(spec.C1, spec.mu, spec.p, spec.q if spec.q is not None else 1.5)
+    r = spec.r
+    if r is None and window is not None:
+        r = default_radius(window)
+    return window, r
 
 
 def ball_start(spec: ProblemSpec, r: float) -> GridFunction:
@@ -186,8 +189,7 @@ def cone_endpoint(spec: ProblemSpec) -> GridFunction:
     t = 1.0
     for _ in range(ENDPOINT_DOUBLINGS):
         e = spec.function(t * ones)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = energy(spec, e).total
+        val = energy(spec, e).total
         if np.isfinite(val) and val <= 0.0:
             return e
         t *= 2.0
@@ -196,7 +198,7 @@ def cone_endpoint(spec: ProblemSpec) -> GridFunction:
 
 def strong_residual(spec: ProblemSpec, u: GridFunction) -> float:
     """Weighted-l2 norm of the strong equation residual A u - Phi'(u)."""
-    g = psi_grad(spec, u).values - phi_grad(spec, u).values
+    g = energy_grad(spec, u)
     return float(np.sqrt(weighted_inner(spec.weights, g, g)))
 
 
@@ -291,40 +293,30 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
     never ``certified`` on error).
     """
     cfg = cfg or SolverConfig()
-    problem_doc = spec.summary()
-
-    window = None
-    r_used = spec.r
-    if spec.family in BALL_FAMILIES:
-        window = radius_window(spec.C1, spec.mu, spec.p, spec.q if spec.q is not None else 1.5)
-        if r_used is None:
-            if window is None:
-                cert = Certificate(
-                    problem=problem_doc,
-                    verdict=VERDICT_STEP_II_FAILED,
-                    window=None,
-                    detail=(
-                        "empty radius window: no r satisfies "
-                        "C1 (r^(p-1) + mu r^(q-1)) <= r; mu exceeds mu_star"
-                    ),
-                    seed=cfg.seed,
-                )
-                return cert, SolverReport(IterTrace(), 0, "window")
-            r_used = default_radius(window)
-        problem_doc["r"] = r_used
-
-    K = constraint_set(spec, r_used)
-    problem_doc["constraint"] = K.descriptor()
-    cert = Certificate(problem=problem_doc, verdict=VERDICT_NOT_CRITICAL, window=window, seed=cfg.seed)
-
+    cert = Certificate(problem=spec.summary(), verdict=VERDICT_NOT_CRITICAL, seed=cfg.seed)
     trace = IterTrace()
-    c_value = None
     try:
         if spec.family in BALL_FAMILIES:
-            u0, trace = projected_gradient_minimize(spec, K, ball_start(spec, r_used), cfg)
+            cert.window, r = ball_radius(spec)
+            if r is None:
+                cert.verdict = VERDICT_STEP_II_FAILED
+                cert.detail = (
+                    "empty radius window: no r satisfies "
+                    "C1 (r^(p-1) + mu r^(q-1)) <= r; mu exceeds mu_star"
+                )
+                return cert, SolverReport(trace, 0, "window")
+            cert.problem["r"] = r
+            K = H2Ball(r, spec.operator, spec.geometry)
+            cert.problem["constraint"] = K.descriptor()
+            u0, trace = projected_gradient_minimize(spec, K, ball_start(spec, r), cfg)
         else:
-            e = cone_endpoint(spec)
-            u0, trace, c_value = mountain_pass(spec, K, e, cfg)
+            K = MonotoneCone(spec.grid, spec.weights)
+            cert.problem["constraint"] = K.descriptor()
+            u0, trace, cert.mountain_pass_value = mountain_pass(spec, K, cone_endpoint(spec), cfg)
+            vals = u0.values
+            cert.positivity_min = float(np.min(vals))
+            cert.monotonicity_defect = float(max(0.0, np.max(np.maximum.accumulate(vals) - vals)))
+            cert.box_bound = cone_box_bound(u0)
     except (DivergenceError, IterationLimitError, MPGError, MembershipError) as exc:
         cert.error = f"solve: {exc}"
         if isinstance(exc, DivergenceError):
@@ -335,12 +327,6 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
     cert.u0 = u0
     cert.energy = trace.rows[-1][1]
     cert.vi_residual = trace.rows[-1][2]
-    cert.mountain_pass_value = c_value
-    if isinstance(K, MonotoneCone):
-        vals = u0.values
-        cert.positivity_min = float(np.min(vals))
-        cert.monotonicity_defect = float(max(0.0, np.max(np.maximum.accumulate(vals) - vals)))
-        cert.box_bound = cone_box_bound(u0)
 
     try:
         v0, in_k, diag = step_ii_verify(spec, K, u0)

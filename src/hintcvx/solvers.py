@@ -5,17 +5,19 @@ the operator (``EllipticOperator.form_solver``).
 
 Descent directions are Riesz representatives of the energy gradient in the
 quadratic-form inner product of Psi (one sparse triangular solve per step),
-which contracts every frequency of the error at once.
+which contracts every frequency of the error at once.  Both step rules run
+one backtracking search (``_backtrack``) and differ only in the test that
+accepts a trial point:
 
 * Projected gradient (the ball families) takes an Armijo step over the
-  convex set.  The metric-matched representative (h2 for balls,
-  weighted-l2 for cones) is kept as a fallback direction whenever the fast
-  direction fails its line search, so sufficient decrease is always
-  available.
+  convex set: the trial must decrease the energy sufficiently.  The
+  metric-matched representative (h2 for balls, weighted-l2 for cones) is
+  kept as a fallback direction whenever the fast direction fails its line
+  search, so sufficient decrease is always available.
 * Mountain pass (the Neumann-radial family) is ridge descent on the ray
   maximum: each trial point is projected onto the cone and rescaled to the
-  maximum of the energy along its ray.  A step is accepted when that ridge
-  merit falls, or when the VI residual halves.
+  maximum of the energy along its ray.  The trial is accepted when that
+  ridge merit falls, or when the VI residual halves.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +44,8 @@ from .functionals import (
     FieldError,
     ProblemSpec,
     energy,
-    phi_grad,
+    energy_grad,
     phi_value,
-    psi_grad,
     psi_value,
 )
 from .grid import EllipticOperator, GridFunction, weighted_inner
@@ -176,15 +178,6 @@ def _metric_step_norm(spec: ProblemSpec, K: ConvexSet, diff: np.ndarray) -> floa
     return float(np.sqrt(weighted_inner(spec.weights, diff, diff)))
 
 
-def _gradient(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
-    return psi_grad(spec, u).values - phi_grad(spec, u).values
-
-
-def _energy_total(spec: ProblemSpec, u: GridFunction) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return energy(spec, u).total
-
-
 def _descent_directions(spec: ProblemSpec, K: ConvexSet, g: np.ndarray):
     """Fast Psi-form Riesz direction, then the projection-metric fallback."""
     yield spec.operator.solve_form(g)
@@ -194,21 +187,20 @@ def _descent_directions(spec: ProblemSpec, K: ConvexSet, g: np.ndarray):
         yield g
 
 
-def _armijo_search(spec, K, u, value, g):
-    """Backtracking line search over the candidate directions.
+def _backtrack(spec: ProblemSpec, K: ConvexSet, u: GridFunction, directions, accept, retract):
+    """Backtracking line search shared by both step rules.
 
-    Accepts the first projected point with sufficient decrease
-    value_new <= value + c <g, new - u>_w (the predicted term is clamped
-    to be a decrease).  Returns (new_point, new_value, step) or None.
+    For each direction d in turn, tries cand = retract(P_K(u - tau d)) at
+    tau = STEP0, STEP0 SHRINK, ... (MAX_BACKTRACKS sizes) and returns the
+    first (cand, I(cand), tau) whose energy is finite and which
+    ``accept(cand, I(cand))`` admits; None when no trial passes.
     """
-    wg = spec.weights * g
-    for direction in _descent_directions(spec, K, g):
+    for direction in directions:
         tau = STEP0
         for _ in range(MAX_BACKTRACKS):
-            cand = project(K, u.with_values(u.values - tau * direction))
-            pred = float(wg @ (cand.values - u.values))
-            cand_value = _energy_total(spec, cand)
-            if np.isfinite(cand_value) and pred <= 0.0 and cand_value <= value + ARMIJO_C * pred:
+            cand = retract(project(K, u.with_values(u.values - tau * direction)))
+            cand_value = energy(spec, cand).total
+            if np.isfinite(cand_value) and accept(cand, cand_value):
                 return cand, cand_value, tau
             tau *= SHRINK
     return None
@@ -265,12 +257,21 @@ def projected_gradient_minimize(
     """
     if not contains(K, u_init, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("projected gradient must start inside the constraint set")
-    value = _energy_total(spec, u_init)
+    value = energy(spec, u_init).total
     if not np.isfinite(value):
         raise DivergenceError("initial energy is not finite", IterTrace())
 
     def armijo_step(u, value, rho):
-        return _armijo_search(spec, K, u, value, _gradient(spec, u))
+        g = energy_grad(spec, u)
+        wg = spec.weights * g
+
+        def sufficient_decrease(cand, cand_value):
+            # value_new <= value + c <g, new - u>_w, the predicted term
+            # clamped to be a decrease
+            pred = float(wg @ (cand.values - u.values))
+            return pred <= 0.0 and cand_value <= value + ARMIJO_C * pred
+
+        return _backtrack(spec, K, u, _descent_directions(spec, K, g), sufficient_decrease, lambda v: v)
 
     u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)
     logger.info("projected gradient terminated (%s) after %d rows", trace.reason, len(trace))
@@ -314,33 +315,27 @@ def mountain_pass(
         raise ValueError("mountain_pass needs the monotone cone constraint")
     if not contains(K, e, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("path endpoint e must belong to the cone")
-    value_e = _energy_total(spec, e)
+    value_e = energy(spec, e).total
     if not np.isfinite(value_e) or value_e > 1e-12:
         raise MPGError(f"mountain-pass geometry violated: I(e) = {value_e!r} must be <= 0")
 
     u = ray_rescale(spec, e)
-    value = _energy_total(spec, u)
+    value = energy(spec, u).total
     if not np.isfinite(value):
         raise DivergenceError("initial ray-maximum energy is not finite", IterTrace())
 
     def ridge_step(u, value, rho):
-        direction = spec.operator.solve_form(_gradient(spec, u))
-        # acceptance at each step size: ridge-merit decrease beyond the
-        # quadratic-form rounding floor, or failing that a halved VI
-        # residual (near the saddle the merit gap scales like distance^2 and
-        # falls under float resolution, while the residual the loop stops
-        # on keeps contracting)
+        direction = spec.operator.solve_form(energy_grad(spec, u))
+        # ridge-merit decrease beyond the quadratic-form rounding floor, or
+        # failing that a halved VI residual (near the saddle the merit gap
+        # scales like distance^2 and falls under float resolution, while the
+        # residual the loop stops on keeps contracting)
         merit_floor = 1e-13 * (1.0 + abs(value))
-        tau = STEP0
-        for _ in range(MAX_BACKTRACKS):
-            cand = ray_rescale(spec, project(K, u.with_values(u.values - tau * direction)))
-            cand_value = _energy_total(spec, cand)
-            if np.isfinite(cand_value) and (
-                cand_value < value - merit_floor or vi_residual(spec, K, cand) < 0.5 * rho
-            ):
-                return cand, cand_value, tau
-            tau *= SHRINK
-        return None
+
+        def merit_or_residual_falls(cand, cand_value):
+            return cand_value < value - merit_floor or vi_residual(spec, K, cand) < 0.5 * rho
+
+        return _backtrack(spec, K, u, (direction,), merit_or_residual_falls, partial(ray_rescale, spec))
 
     u, trace = _descend(spec, K, u, value, cfg, ridge_step)
     c = trace.rows[-1][1]

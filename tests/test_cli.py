@@ -97,6 +97,41 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "solver.max_iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            ({"kind": "radial", "n": 2}, "n"),
+            ({"kind": "radial", "n": 2.5}, "n"),
+            ({"kind": "radial", "n": True}, "n"),
+            ({"kind": "radial", "n": 41, "dim": 0}, "dim"),
+            ({"kind": "square2d", "m": 1}, "m"),
+        ],
+        ids=["n-2", "n-2.5", "n-true", "dim-0", "m-1"],
+    )
+    def test_grid_range_error_names_field(self, tmp_path, capsys, grid, field):
+        doc = base_config(tmp_path / "out")
+        doc["problem"]["grid"] = grid
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert f"config error: problem.grid.{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bc", ["banana", "neumann-zero"])
+    def test_grid_bc_must_match_family(self, tmp_path, capsys, bc):
+        doc = base_config(tmp_path / "out")
+        doc["problem"]["grid"]["bc"] = bc
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error: problem.grid.bc:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_weight_on_square_names_field(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "out")
+        doc["problem"]["grid"] = {"kind": "square2d", "m": 8}
+        doc["problem"]["a"] = {"kind": "constant", "value": 1.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error: problem.a:" in capsys.readouterr().err
+
     def test_oversized_integer_literal_is_config_error(self, tmp_path, capsys):
         # json.load raises a plain ValueError past the int-string digit limit
         text = json.dumps(base_config(tmp_path / "out")).replace('"C1": 1.0', '"C1": 1' + "0" * 5000)

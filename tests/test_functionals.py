@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,10 @@ class TestNormsAndEnergy:
         assert br.total == br.psi - br.phi
         assert br.psi == hx.psi_value(cc_spec, u)
         assert br.phi == hx.phi_value(cc_spec, u)
+
+    def test_energy_overflow_is_non_finite_without_warning(self, nr_spec):
+        u = nr_spec.function(np.full(nr_spec.grid.size, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = hx.energy(nr_spec, u).total
+        assert not np.isfinite(total)
