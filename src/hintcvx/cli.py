@@ -79,14 +79,17 @@ def _check_keys(doc: dict, allowed: set[str], required: set[str], path: str) -> 
         raise ConfigError(f"{path}.{sorted(missing)[0]}", "required key missing")
 
 
+def _finite(val, path: str) -> float:
+    # the bound test also rejects NaN, infinities and ints too large for a float
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
+        raise ConfigError(path, f"expected a finite number, got {val!r}")
+    return float(val)
+
+
 def _number(doc: dict, key: str, path: str, default=None):
     if key not in doc:
         return default
-    val = doc[key]
-    # the bound test also rejects NaN, infinities and ints too large for a float
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not abs(val) <= sys.float_info.max:
-        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val!r}")
-    return float(val)
+    return _finite(doc[key], f"{path}.{key}")
 
 
 def _build_grid(doc, path: str):
@@ -132,7 +135,7 @@ def _build_profile(doc, grid, bc: str, path: str) -> GridFunction:
         raw = doc["values"]
         if not isinstance(raw, list) or len(raw) != grid.size:
             raise ConfigError(f"{path}.values", f"expected a list of {grid.size} numbers")
-        vals = np.asarray(raw, dtype=float)
+        vals = np.array([_finite(x, f"{path}.values[{i}]") for i, x in enumerate(raw)])
     try:
         return GridFunction(grid, vals, bc)
     except ValueError as exc:
@@ -214,7 +217,8 @@ def parse_config(path) -> RunConfig:
         {"schema_version", "problem"},
         "config",
     )
-    if doc["schema_version"] != SCHEMA_VERSION:
+    # true == 1 in Python, but a boolean is no version number
+    if isinstance(doc["schema_version"], bool) or doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError("config.schema_version", f"expected {SCHEMA_VERSION}")
     spec = build_problem_spec(doc["problem"])
     solver = build_solver_config(doc.get("solver"))
@@ -250,7 +254,12 @@ def cmd_solve(args) -> int:
     if run_cfg is None:
         return 1
     out_dir = Path(args.out or run_cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # an unusable directory fails before the solve, not after it
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
     try:
         cert, report = run_problem(run_cfg.spec, run_cfg.solver)
@@ -258,17 +267,21 @@ def cmd_solve(args) -> int:
         print(f"solve: {exc}", file=sys.stderr)
         return 1
 
-    if run_cfg.emit["certificate"]:
-        doc = cert.to_json_dict()
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-        with open(out_dir / "certificate.json", "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    if run_cfg.emit["trace"] and len(report.trace):
-        report.trace.to_csv(out_dir / "trace.csv")
-    if run_cfg.emit["profile"] and cert.u0 is not None:
-        columns = {"u0": cert.u0.values, "v0": cert.v0.values if cert.v0 is not None else None}
-        write_node_csv(out_dir / "profile.csv", run_cfg.spec.grid, columns)
+    try:
+        if run_cfg.emit["certificate"]:
+            doc = cert.to_json_dict()
+            doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+            with open(out_dir / "certificate.json", "w") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        if run_cfg.emit["trace"] and len(report.trace):
+            report.trace.to_csv(out_dir / "trace.csv")
+        if run_cfg.emit["profile"] and cert.u0 is not None:
+            columns = {"u0": cert.u0.values, "v0": cert.v0.values if cert.v0 is not None else None}
+            write_node_csv(out_dir / "profile.csv", run_cfg.spec.grid, columns)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
     print(f"verdict: {cert.verdict}" + (f" ({cert.detail})" if cert.detail else ""))
     if cert.error is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import H2Geometry
-from .grid import EllipticOperator, GridFunction, RadialGrid
+from .grid import GridFunction, RadialGrid
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -25,17 +25,14 @@ class MembershipError(ValueError):
 
 @dataclass(eq=False)
 class H2Ball:
-    """Centered ball {u : ||u||_h2 <= r} in the operator's H^2 norm."""
+    """Centered ball {u : ||u||_h2 <= r} in the geometry's H^2 norm."""
 
     r: float
-    operator: EllipticOperator
-    geometry: H2Geometry | None = field(default=None, repr=False)
+    geometry: H2Geometry = field(repr=False)
 
     def __post_init__(self):
         if not self.r > 0.0:
             raise ValueError(f"ball radius must be positive, got r={self.r}")
-        if self.geometry is None:
-            self.geometry = H2Geometry(self.operator)
 
     def descriptor(self) -> dict:
         return {"kind": "h2ball", "r": self.r}
@@ -64,7 +61,7 @@ ConvexSet = H2Ball | MonotoneCone
 
 
 def _check_set_grid(K: ConvexSet, u: GridFunction) -> None:
-    grid = K.operator.grid if isinstance(K, H2Ball) else K.grid
+    grid = K.geometry.op.grid if isinstance(K, H2Ball) else K.grid
     if u.grid != grid:
         raise ValueError("grid function lives on a different grid than the constraint set")
 

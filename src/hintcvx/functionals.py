@@ -51,7 +51,10 @@ class DegenerateInputError(ValueError):
 
 
 def _p_star(dim: int) -> float:
-    # Admissible exponent ceiling from the H^2 embedding; unbounded for dim <= 4.
+    # Exponent ceiling from the H^2 embedding, which the ball families'
+    # regularity chain needs; unbounded for dim <= 4.  The cone family has
+    # none: a nonnegative nondecreasing profile is bounded by its value at
+    # r = 1.
     if dim <= 4:
         return float("inf")
     return (2.0 * dim - 4.0) / (dim - 4.0)
@@ -85,7 +88,7 @@ class ProblemSpec:
         dim = self.grid.dim if isinstance(self.grid, RadialGrid) else 2
         if not self.p > 2.0:
             raise FieldError("p", f"p must exceed 2, got p={self.p}")
-        if self.p >= _p_star(dim):
+        if self.family in BALL_FAMILIES and self.p >= _p_star(dim):
             raise FieldError(
                 "p", f"p={self.p} violates the embedding bound p < {_p_star(dim)} at dim={dim}"
             )
@@ -141,9 +144,6 @@ class ProblemSpec:
     @cached_property
     def geometry(self) -> "H2Geometry":
         return H2Geometry(self.operator)
-
-    def zero(self) -> GridFunction:
-        return GridFunction(self.grid, np.zeros(self.grid.size), self.bc)
 
     def function(self, values: np.ndarray) -> GridFunction:
         return GridFunction(self.grid, values, self.bc)

@@ -268,18 +268,14 @@ class EllipticOperator:
         return self.kind == NEG_LAPLACIAN_PLUS_ID or self.bc == DIRICHLET_ZERO
 
     @cached_property
-    def form_active(self) -> sp.csc_matrix:
-        idx = np.flatnonzero(self.active)
-        return self.form[np.ix_(idx, idx)].tocsc()
-
-    @cached_property
     def form_solver(self):
         """Cached sparse LU solve of the active form matrix."""
         if not self.is_positive_definite:
             raise RankDeficiencyError(
                 "pure-Neumann negative Laplacian is rank deficient (constants in kernel)"
             )
-        return spla.factorized(self.form_active)
+        idx = np.flatnonzero(self.active)
+        return spla.factorized(self.form[np.ix_(idx, idx)].tocsc())
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Pointwise operator values A u (zero at inactive nodes).

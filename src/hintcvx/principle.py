@@ -29,7 +29,6 @@ from .functionals import (
     BALL_FAMILIES,
     NONHOMOGENEOUS,
     ProblemSpec,
-    energy,
     energy_grad,
     phi_grad,
 )
@@ -52,8 +51,6 @@ VERDICT_CERTIFIED = "certified"
 VERDICT_STEP_II_FAILED = "step-ii-failed"
 VERDICT_NOT_CRITICAL = "not-critical"
 _WINDOW_TOL = 1e-10
-# cone_endpoint doubles its constant at most this often
-ENDPOINT_DOUBLINGS = 60
 # forcing_threshold_probe: first amplitude, doublings and bisection steps
 PROBE_S_START = 1e-2
 PROBE_DOUBLINGS = 40
@@ -183,19 +180,6 @@ def ball_start(spec: ProblemSpec, r: float) -> GridFunction:
     return spec.function(vals * (0.1 * r / nrm))
 
 
-def cone_endpoint(spec: ProblemSpec) -> GridFunction:
-    """Path endpoint e = t * 1 with t doubled until I(e) <= 0."""
-    ones = np.ones(spec.grid.size)
-    t = 1.0
-    for _ in range(ENDPOINT_DOUBLINGS):
-        e = spec.function(t * ones)
-        val = energy(spec, e).total
-        if np.isfinite(val) and val <= 0.0:
-            return e
-        t *= 2.0
-    raise MPGError("could not reach negative energy by scaling constants; is a positive?")
-
-
 def strong_residual(spec: ProblemSpec, u: GridFunction) -> float:
     """Weighted-l2 norm of the strong equation residual A u - Phi'(u)."""
     g = energy_grad(spec, u)
@@ -278,8 +262,11 @@ class Certificate:
 @dataclass
 class SolverReport:
     trace: IterTrace
-    iterations: int
     reason: str
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Certificate, SolverReport]:
@@ -304,15 +291,15 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
                     "empty radius window: no r satisfies "
                     "C1 (r^(p-1) + mu r^(q-1)) <= r; mu exceeds mu_star"
                 )
-                return cert, SolverReport(trace, 0, "window")
+                return cert, SolverReport(trace, "window")
             cert.problem["r"] = r
-            K = H2Ball(r, spec.operator, spec.geometry)
+            K = H2Ball(r, spec.geometry)
             cert.problem["constraint"] = K.descriptor()
             u0, trace = projected_gradient_minimize(spec, K, ball_start(spec, r), cfg)
         else:
             K = MonotoneCone(spec.grid, spec.weights)
             cert.problem["constraint"] = K.descriptor()
-            u0, trace, cert.mountain_pass_value = mountain_pass(spec, K, cone_endpoint(spec), cfg)
+            u0, trace, cert.mountain_pass_value = mountain_pass(spec, K, cfg)
             vals = u0.values
             cert.positivity_min = float(np.min(vals))
             cert.monotonicity_defect = float(max(0.0, np.max(np.maximum.accumulate(vals) - vals)))
@@ -321,7 +308,7 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
         cert.error = f"solve: {exc}"
         if isinstance(exc, DivergenceError):
             trace = exc.trace
-        return cert, SolverReport(trace, len(trace), "error")
+        return cert, SolverReport(trace, "error")
 
     # stage i's last trace row holds u0's energy and VI residual
     cert.u0 = u0
@@ -339,7 +326,7 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
         cert.duality_gap = duality_gap(spec.operator, u0, phi_grad(spec, u0))
     except (IterationLimitError, MembershipError, ValueError) as exc:
         cert.error = f"step-ii: {exc}"
-        return cert, SolverReport(trace, len(trace), trace.reason)
+        return cert, SolverReport(trace, trace.reason)
 
     if cert.vi_residual > DEFAULT_MEMBERSHIP_TOL:
         cert.verdict = VERDICT_NOT_CRITICAL
@@ -357,7 +344,7 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
     else:
         cert.verdict = VERDICT_CERTIFIED
 
-    return cert, SolverReport(trace, len(trace), trace.reason)
+    return cert, SolverReport(trace, trace.reason)
 
 
 def _amplitude_spec(spec_template: ProblemSpec, r: float, s: float) -> ProblemSpec:

@@ -111,9 +111,6 @@ class IterTrace:
     def append(self, k: int, energy_val: float, residual: float, step: float, h2_norm: float):
         self.rows.append((int(k), float(energy_val), float(residual), float(step), float(h2_norm)))
 
-    def energies(self) -> np.ndarray:
-        return np.array([row[1] for row in self.rows])
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -294,35 +291,37 @@ def ray_rescale(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 
 
 def mountain_pass(
-    spec: ProblemSpec, K: MonotoneCone, e: GridFunction, cfg: SolverConfig
+    spec: ProblemSpec, K: MonotoneCone, cfg: SolverConfig
 ) -> tuple[GridFunction, IterTrace, float]:
     """Mountain-pass search for the Neumann-radial family: ridge descent on
     the ray maximum.
 
-    With the p-homogeneous Phi of this family, the mountain-pass level of
-    paths in the cone from 0 to e is the infimum over the cone of the ray
-    maximum I(ray-max(u)) (the Nehari-manifold characterisation; Szulkin &
-    Weth, Handbook of Nonconvex Analysis, 2010).  The search starts at the
-    ray maximum of e and descends that merit: each step pushes the iterate
-    along the Psi-form Riesz direction, projects onto the cone and rescales
-    to the ray maximum.  A step is accepted when the merit falls, or when
-    the VI residual halves, so the reported value c is the ray maximum of
-    the last iterate and never drops below max(I(0), I(e)) = 0.
+    With the p-homogeneous Phi of this family, the mountain-pass level over
+    the cone is the infimum over the cone of the ray maximum I(ray-max(u))
+    (the Nehari-manifold characterisation; Szulkin & Weth, Handbook of
+    Nonconvex Analysis, 2010).  The search starts at the ray maximum of the
+    constant profile 1, t* 1 with t* = (2 Psi(1) / (p Phi(1)))^(1/(p-2)),
+    and descends that merit: each step pushes the iterate along the
+    Psi-form Riesz direction, projects onto the cone and rescales to the
+    ray maximum.  A step is accepted when the merit falls, or when the VI
+    residual halves, so the reported value c is the ray maximum of the last
+    iterate, which is positive.  ``MPGError`` means Phi(1) = 0, i.e. a = 0:
+    then no ray in the cone has a maximum.
     """
     if spec.family != NEUMANN_RADIAL:
         raise ValueError("mountain_pass drives the Neumann-radial family only")
     if not isinstance(K, MonotoneCone):
         raise ValueError("mountain_pass needs the monotone cone constraint")
-    if not contains(K, e, DEFAULT_MEMBERSHIP_TOL):
-        raise MembershipError("path endpoint e must belong to the cone")
-    value_e = energy(spec, e).total
-    if not np.isfinite(value_e) or value_e > 1e-12:
-        raise MPGError(f"mountain-pass geometry violated: I(e) = {value_e!r} must be <= 0")
-
-    u = ray_rescale(spec, e)
-    value = energy(spec, u).total
+    ones = spec.function(np.ones(spec.grid.size))
+    if not phi_value(spec, ones) > 0.0:
+        raise MPGError("mountain-pass geometry violated: Phi(1) = 0, so a = 0 and I grows on every ray")
+    try:
+        u = ray_rescale(spec, ones)
+        value = energy(spec, u).total
+    except OverflowError:  # t* itself overflows
+        value = float("inf")
     if not np.isfinite(value):
-        raise DivergenceError("initial ray-maximum energy is not finite", IterTrace())
+        raise DivergenceError("the constant profile's ray maximum is past the float range", IterTrace())
 
     def ridge_step(u, value, rho):
         direction = spec.operator.solve_form(energy_grad(spec, u))

@@ -228,6 +228,50 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "schema_version" in capsys.readouterr().err
 
+    def test_boolean_schema_version_rejected(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "out")
+        doc["schema_version"] = True
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error: config.schema_version:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["abc", "1.5", True], ids=["text", "numeric-text", "true"])
+    def test_profile_values_are_numbers(self, tmp_path, capsys, bad):
+        doc = {
+            "schema_version": 1,
+            "problem": {
+                "family": "neumann-radial",
+                "grid": {"kind": "radial", "n": 5, "dim": 3},
+                "p": 4.0,
+                "a": {"kind": "values", "values": [1.0, 1.0, bad, 2.0, 2.0]},
+            },
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "config error: problem.a.values[2]:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unusable_output_directory(self, tmp_path, capsys, monkeypatch, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if where == "file" else blocker / "out"
+        cfg = write_config(tmp_path, base_config(out))
+
+        def no_solve(*args):
+            raise AssertionError("the solve ran although the output directory is unusable")
+
+        monkeypatch.setattr(cli, "run_problem", no_solve)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "output error:" in capsys.readouterr().err
+
+    def test_write_error_reported(self, tmp_path, capsys):
+        (tmp_path / "out" / "certificate.json").mkdir(parents=True)
+        cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "output error:" in capsys.readouterr().err
+
 
 class TestWindowCommand:
     def test_closed_form_case(self, capsys):

@@ -14,7 +14,7 @@ from conftest import random_dirichlet
 
 @pytest.fixture
 def ball(op1d):
-    return hx.H2Ball(1.0, op1d)
+    return hx.H2Ball(1.0, hx.H2Geometry(op1d))
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ class TestConstruction:
     @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
     def test_ball_rejects_non_positive_radius(self, op1d, r):
         with pytest.raises(ValueError, match="radius"):
-            hx.H2Ball(r, op1d)
+            hx.H2Ball(r, hx.H2Geometry(op1d))
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan")])
     def test_cone_rejects_bad_weights(self, bad):

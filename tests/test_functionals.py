@@ -72,7 +72,7 @@ class TestProblemSpecValidation:
 
 class TestPsi:
     def test_zero_function(self, cc_spec):
-        assert hx.psi_value(cc_spec, cc_spec.zero()) == 0.0
+        assert hx.psi_value(cc_spec, cc_spec.function(np.zeros(cc_spec.grid.size))) == 0.0
 
     def test_constant_one_neumann_radial(self, nr_spec):
         # gradient term vanishes: Psi(1) = 1/2 * |B_1| = 2 pi / 3
@@ -101,7 +101,8 @@ class TestPsi:
             hx.phi_value(cc_spec, stranger)
 
     def test_grad_zero(self, cc_spec):
-        assert np.all(hx.psi_grad(cc_spec, cc_spec.zero()).values == 0.0)
+        zero = cc_spec.function(np.zeros(cc_spec.grid.size))
+        assert np.all(hx.psi_grad(cc_spec, zero).values == 0.0)
 
     def test_grad_additive(self, cc_spec):
         u = random_dirichlet(cc_spec.grid, 1)
@@ -134,10 +135,10 @@ class TestPhi:
     def test_zero_function_all_families(self, cc_spec, nr_spec, grid1d):
         f = hx.GridFunction(grid1d, np.sin(np.pi * grid1d.nodes), hx.NEUMANN_ZERO)
         nh = hx.ProblemSpec(family="nonhomogeneous", grid=grid1d, p=3.0, f=f)
-        assert hx.phi_value(cc_spec, cc_spec.zero()) == 0.0
-        assert hx.phi_value(nr_spec, nr_spec.zero()) == 0.0
+        assert hx.phi_value(cc_spec, cc_spec.function(np.zeros(cc_spec.grid.size))) == 0.0
+        assert hx.phi_value(nr_spec, nr_spec.function(np.zeros(nr_spec.grid.size))) == 0.0
         # the forcing term int f u vanishes at u = 0 regardless of f
-        assert hx.phi_value(nh, nh.zero()) == 0.0
+        assert hx.phi_value(nh, nh.function(np.zeros(nh.grid.size))) == 0.0
 
     def test_constant_one_concave_convex(self, grid1d):
         # closed form: 1/p + mu/q on the unit interval
@@ -154,7 +155,7 @@ class TestPhi:
 
     def test_grad_zero_convention_sublinear(self, cc_spec):
         # |u|^(q-2) u extends continuously by 0 at u = 0
-        out = hx.phi_grad(cc_spec, cc_spec.zero())
+        out = hx.phi_grad(cc_spec, cc_spec.function(np.zeros(cc_spec.grid.size)))
         assert np.all(out.values == 0.0)
         assert np.all(np.isfinite(out.values))
 
@@ -209,7 +210,7 @@ class TestPhi:
 
 class TestNormsAndEnergy:
     def test_zero_function_norms(self, cc_spec):
-        assert cc_spec.geometry.h2_norm(cc_spec.zero().values) == 0.0
+        assert cc_spec.geometry.h2_norm(np.zeros(cc_spec.grid.size)) == 0.0
 
     @given(c=st.floats(min_value=-8.0, max_value=8.0).filter(lambda x: abs(x) > 1e-3))
     @settings(max_examples=20, deadline=None)

@@ -103,8 +103,8 @@ class TestDefaultRadius:
 class TestStepII:
     def test_trivial_zero(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.0)
-        K = hx.H2Ball(0.5, spec.operator, spec.geometry)
-        v0, in_k, diag = step_ii_verify(spec, K, spec.zero())
+        K = hx.H2Ball(0.5, spec.geometry)
+        v0, in_k, diag = step_ii_verify(spec, K, spec.function(np.zeros(spec.grid.size)))
         assert np.all(v0.values == 0.0)
         assert in_k
         assert diag["v0_h2"] == 0.0
@@ -112,7 +112,7 @@ class TestStepII:
     def test_constructed_violation(self, grid1d):
         # huge amplitude with a tiny radius: v0 cannot stay inside
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)
-        K = hx.H2Ball(1e-4, spec.operator, spec.geometry)
+        K = hx.H2Ball(1e-4, spec.geometry)
         vals = np.sin(np.pi * grid1d.nodes) * 10.0
         vals[0] = vals[-1] = 0.0
         v0, in_k, diag = step_ii_verify(spec, K, spec.function(vals))
@@ -121,7 +121,7 @@ class TestStepII:
 
     def test_regularity_chain_reported(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)
-        K = hx.H2Ball(0.5, spec.operator, spec.geometry)
+        K = hx.H2Ball(0.5, spec.geometry)
         vals = 0.01 * np.sin(np.pi * grid1d.nodes)
         vals[0] = vals[-1] = 0.0
         _, _, diag = step_ii_verify(spec, K, spec.function(vals))
@@ -203,6 +203,19 @@ class TestRunProblem:
         assert cert.verdict == VERDICT_CERTIFIED
         assert report.reason in ("vi_residual", "step")
 
+    # above the H^2 embedding exponent (2d-4)/(d-4) = 3, 4, 8/3: the cone
+    # bounds its profiles by their value at r = 1, so no embedding caps p
+    @pytest.mark.parametrize("dim, p", [(5, 8.0), (6, 6.0), (8, 10.0)])
+    def test_neumann_radial_certifies_supercritical(self, dim, p):
+        g = hx.RadialGrid(n=401, dim=dim)
+        a = hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=p, a=a)
+        cert, report = run_problem(spec)
+        assert cert.error is None
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert cert.mountain_pass_value > 0.0
+        assert report.reason == "vi_residual"
+
     def test_concave_convex_certifies_dim1_n3201(self):
         g = hx.RadialGrid(n=3201, dim=1)
         star = hx.mu_star(1.0, 4.0, 1.5)
@@ -230,7 +243,7 @@ class TestRunProblem:
         cert, _ = run_problem(spec)
         assert cert.vi_residual <= 1e-9
         assert cert.strong_residual <= 1e-6
-        K = hx.H2Ball(cert.problem["r"], spec.operator, spec.geometry)
+        K = hx.H2Ball(cert.problem["r"], spec.geometry)
         perturbed = spec.function(cert.u0.values * 0.5)
         rho_pert = hx.vi_residual(spec, K, perturbed)
         assert rho_pert > 1e-6

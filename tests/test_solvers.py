@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import NonlinearConstraint, minimize
 
 import hintcvx as hx
-from hintcvx.principle import ball_start, cone_endpoint, strong_residual
+from hintcvx.principle import ball_start, strong_residual
 from hintcvx.solvers import LINEAR_SOLVE_RTOL
 from hintcvx.grid import NEG_LAPLACIAN_PLUS_ID, weighted_inner
 
@@ -104,15 +104,16 @@ class TestSolverConfig:
 class TestProjectedGradient:
     def test_stationary_start_returns_immediately(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.0)
-        K = hx.H2Ball(0.5, spec.operator, spec.geometry)
-        u0, trace = hx.projected_gradient_minimize(spec, K, spec.zero(), hx.SolverConfig())
+        K = hx.H2Ball(0.5, spec.geometry)
+        zero = spec.function(np.zeros(spec.grid.size))
+        u0, trace = hx.projected_gradient_minimize(spec, K, zero, hx.SolverConfig())
         assert np.all(u0.values == 0.0)
         assert len(trace) == 1 and trace.rows[0][2] == 0.0
         assert trace.reason == "vi_residual"
 
     def test_membership_precondition(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)
-        K = hx.H2Ball(1e-8, spec.operator, spec.geometry)
+        K = hx.H2Ball(1e-8, spec.geometry)
         with pytest.raises(hx.MembershipError):
             hx.projected_gradient_minimize(spec, K, random_dirichlet(grid1d, 1), hx.SolverConfig())
 
@@ -120,7 +121,7 @@ class TestProjectedGradient:
         # small mu pulls the constrained minimum below zero at a nonzero point
         g = hx.RadialGrid(n=81, dim=1)
         spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=0.2)
-        K = hx.H2Ball(0.3, spec.operator, spec.geometry)
+        K = hx.H2Ball(0.3, spec.geometry)
         u0, trace = hx.projected_gradient_minimize(spec, K, ball_start(spec, K.r), hx.SolverConfig())
         assert hx.energy(spec, u0).total < 0.0
         l2 = np.sqrt(weighted_inner(spec.weights, u0.values, u0.values))
@@ -129,9 +130,9 @@ class TestProjectedGradient:
     def test_trace_monotone_and_feasible(self):
         g = hx.RadialGrid(n=61, dim=1)
         spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=0.15)
-        K = hx.H2Ball(0.25, spec.operator, spec.geometry)
+        K = hx.H2Ball(0.25, spec.geometry)
         u0, trace = hx.projected_gradient_minimize(spec, K, ball_start(spec, K.r), hx.SolverConfig())
-        energies = trace.energies()
+        energies = np.array([row[1] for row in trace.rows])
         assert np.all(np.diff(energies) <= 1e-12)
         # the h2_norm column certifies feasibility of every reported iterate
         for row in trace.rows:
@@ -142,7 +143,7 @@ class TestProjectedGradient:
         spec = tiny_cc_spec(mu=0.05)
         H = oracle_h2_gram_tiny()
         r = 0.3
-        K = hx.H2Ball(r, spec.operator, spec.geometry)
+        K = hx.H2Ball(r, spec.geometry)
         u0, _ = hx.projected_gradient_minimize(spec, K, ball_start(spec, r), hx.SolverConfig())
         e_pgd = hx.energy(spec, u0).total
 
@@ -191,27 +192,38 @@ class TestMountainPass:
             u = nr_spec.function(raw * (1e-2 / nrm))
             assert hx.energy(nr_spec, u).total > 0.0
 
-    def test_mpg_violation_rejected(self, nr_spec):
-        K = hx.MonotoneCone(nr_spec.grid, nr_spec.weights)
-        small = nr_spec.function(np.full(nr_spec.grid.size, 0.05))
-        assert hx.energy(nr_spec, small).total > 0.0
+    def test_mpg_violation_rejected(self, grid3d):
+        # a = 0: I(t u) = t^2 Psi(u) grows along every ray, so there is no
+        # ray maximum to start from
+        a0 = hx.GridFunction(grid3d, np.zeros(grid3d.size), hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=grid3d, p=4.0, a=a0)
+        K = hx.MonotoneCone(grid3d, spec.weights)
         with pytest.raises(hx.MPGError):
-            hx.mountain_pass(nr_spec, K, small, hx.SolverConfig())
+            hx.mountain_pass(spec, K, hx.SolverConfig())
+        cert, report = hx.run_problem(spec)
+        assert cert.error.startswith("solve: mountain-pass geometry")
+        assert cert.verdict == "not-critical" and cert.u0 is None
+        assert report.reason == "error" and report.iterations == 0
+
+    def test_start_beyond_float_range_is_divergence(self, grid3d):
+        # t* = (2 Psi(1) / (p Phi(1)))^(1/(p-2)) = 1e6^100 overflows
+        a = hx.GridFunction(grid3d, np.full(grid3d.size, 1e-6), hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=grid3d, p=2.01, a=a)
+        K = hx.MonotoneCone(grid3d, spec.weights)
+        with pytest.raises(hx.DivergenceError, match="float range"):
+            hx.mountain_pass(spec, K, hx.SolverConfig())
 
     def test_wrong_family_rejected(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)
         K = hx.MonotoneCone(grid1d, spec.weights)
-        e = hx.GridFunction(grid1d, np.zeros(grid1d.size), hx.NEUMANN_ZERO)
         with pytest.raises(ValueError):
-            hx.mountain_pass(spec, K, e, hx.SolverConfig())
+            hx.mountain_pass(spec, K, hx.SolverConfig())
 
     def test_converges_with_positive_path_value(self, nr_spec):
         K = hx.MonotoneCone(nr_spec.grid, nr_spec.weights)
-        e = cone_endpoint(nr_spec)
-        u0, trace, c = hx.mountain_pass(nr_spec, K, e, hx.SolverConfig(max_iters=400))
+        u0, trace, c = hx.mountain_pass(nr_spec, K, hx.SolverConfig(max_iters=400))
         assert trace.reason == "vi_residual"
-        assert c >= 0.0
-        assert c >= max(0.0, hx.energy(nr_spec, e).total)
+        assert c > 0.0
         assert hx.vi_residual(nr_spec, K, u0) <= 1e-10
         assert strong_residual(nr_spec, u0) <= 1e-8
         assert hx.contains(K, u0, 1e-12)
@@ -220,7 +232,7 @@ class TestMountainPass:
 def _pg_run(cfg):
     g = hx.RadialGrid(n=61, dim=1)
     spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=0.15)
-    K = hx.H2Ball(0.25, spec.operator, spec.geometry)
+    K = hx.H2Ball(0.25, spec.geometry)
     u, trace = hx.projected_gradient_minimize(spec, K, ball_start(spec, K.r), cfg)
     return spec, u, trace
 
@@ -230,7 +242,7 @@ def _mp_run(cfg):
     a = hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)
     spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=4.0, a=a)
     K = hx.MonotoneCone(g, spec.weights)
-    u, trace, _ = hx.mountain_pass(spec, K, cone_endpoint(spec), cfg)
+    u, trace, _ = hx.mountain_pass(spec, K, cfg)
     return spec, u, trace
 
 
