@@ -3,9 +3,10 @@ variational-inequality residual, and the two-point energy defect.
 
 For the quadratic energy Psi(u) = 1/2 <A u, u>_w the conjugate is again
 quadratic, Psi*(u*) = 1/2 <A^-1 u*, u*>_w, so every certificate here
-reduces to sparse linear algebra.  The VI residual is the computable
-criticality test: rho(u) = -inf over v in K of <Psi'(u) - Phi'(u), v - u>,
-zero exactly when u is a constrained critical point.
+reduces to linear solves with A (``EllipticOperator.solve_form``).  The VI
+residual is the computable criticality test: rho(u) = -inf over v in K of
+<Psi'(u) - Phi'(u), v - u>, zero exactly when u is a constrained critical
+point.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .grid import (
     Square2DGrid,
     build_2d_laplacian,
     build_radial_laplacian,
+    sine_solver,
     weighted_inner,
 )
 
@@ -274,7 +275,9 @@ class H2Geometry:
 
     The Gram matrix on active nodes is H = W + S + F W^-1 F with S the
     laplacian stiffness and F the operator form; ``riesz(g)`` solves
-    H x = W g so that <x, v>_h2 = <g, v>_w for all admissible v.
+    H x = W g so that <x, v>_h2 = <g, v>_w for all admissible v.  Radial
+    grids factor H with sparse LU; on the square H is a polynomial in the
+    5-point stiffness and is solved in the sine basis (``sine_solver``).
     """
 
     def __init__(self, op: EllipticOperator):
@@ -284,6 +287,10 @@ class H2Geometry:
     @cached_property
     def _gram_solver(self):
         op = self.op
+        if isinstance(op.grid, Square2DGrid):
+            # W = h^2 I and S = F = K, so H = h^2 I + K + K^2 / h^2
+            h2 = op.grid.h**2
+            return sine_solver(op.grid, lambda lam: h2 + lam + lam * lam / h2)
         idx = self._idx
         W = sp.diags(op.weights[idx])
         S = op.stiffness[np.ix_(idx, idx)]

@@ -1,10 +1,11 @@
 """Optimization drivers: the stage-ii linear solve, and one stage-i loop
 (``_descend``: trace, termination tests, reason) run with two step rules.
-Every solve with A, in either stage, uses the sparse LU factor cached on
-the operator (``EllipticOperator.form_solver``).
+Every solve with A, in either stage, uses the solver cached on the
+operator (``EllipticOperator.form_solver``): a sparse LU factor on radial
+grids, sine-basis diagonalisation on the square.
 
 Descent directions are Riesz representatives of the energy gradient in the
-quadratic-form inner product of Psi (one sparse triangular solve per step),
+quadratic-form inner product of Psi (one solve with A per step),
 which contracts every frequency of the error at once.  Both step rules run
 one backtracking search (``_backtrack``) and differ only in the test that
 accepts a trial point:
@@ -140,8 +141,8 @@ def linear_solve(op: EllipticOperator, rhs: GridFunction) -> GridFunction:
     """Direct solve of A v = rhs to
     ||A v - rhs||_w <= LINEAR_SOLVE_RTOL ||rhs||_w + floor.
 
-    Solves on the operator's cached sparse LU factor (the one stage i uses
-    for its descent directions), then takes one step of iterative
+    Solves with the operator's cached solver (the one stage i uses for its
+    descent directions), then takes one step of iterative
     refinement.  The contract is checked with the flux-form ``apply``, not
     the factor; ``floor`` is the rounding bound of that check itself
     (``_residual_floor``).  A miss raises ``IterationLimitError``; a
@@ -162,7 +163,7 @@ def linear_solve(op: EllipticOperator, rhs: GridFunction) -> GridFunction:
         floor = _residual_floor(op, v, b)
         if res > LINEAR_SOLVE_RTOL * rhs_norm + floor:
             raise IterationLimitError(
-                f"lu solve failed its residual contract: "
+                f"linear solve failed its residual contract: "
                 f"{res:.3e} > {LINEAR_SOLVE_RTOL:.1e} * {rhs_norm:.3e} + {floor:.3e} (rounding floor)",
                 residual=res,
             )
@@ -208,16 +209,19 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
 
     Records one trace row per iterate and stops when the VI residual drops
     below ``tol_residual``, when ``step(u, value, rho)`` finds no
-    acceptable point (it returns ``(cand, cand_value, tau)`` or None; rho
-    is the VI residual at u), when the metric step drops below
+    acceptable point (it returns ``(cand, cand_value, tau, cand_rho)`` or
+    None; rho is the VI residual at u, cand_rho the one at cand if the step
+    computed it, else None), when the metric step drops below
     ``tol_step``, or at ``max_iters``.  The last two leave the last
     accepted point without a row, so it gets a final one.  The last row
     always holds the returned point's energy and VI residual.
     """
     trace = IterTrace()
     step_prev = float("nan")
+    rho = None
     for k in range(cfg.max_iters):
-        rho = vi_residual(spec, K, u)
+        if rho is None:
+            rho = vi_residual(spec, K, u)
         trace.append(k, value, rho, step_prev, spec.geometry.h2_norm(u.values))
         if rho <= cfg.tol_residual:
             trace.reason = "vi_residual"
@@ -226,7 +230,7 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
         if result is None:
             trace.reason = "line-search-stalled"
             return u, trace
-        cand, value, step_prev = result
+        cand, value, step_prev, rho = result
         step_norm = _metric_step_norm(spec, K, cand.values - u.values)
         u = cand
         if step_norm <= cfg.tol_step:
@@ -234,7 +238,8 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
             break
     else:
         reason = "max_iters"
-    rho = vi_residual(spec, K, u)
+    if rho is None:
+        rho = vi_residual(spec, K, u)
     trace.append(k + 1, value, rho, step_prev, spec.geometry.h2_norm(u.values))
     if rho <= cfg.tol_residual and reason == "max_iters":
         reason = "vi_residual"
@@ -268,7 +273,8 @@ def projected_gradient_minimize(
             pred = float(wg @ (cand.values - u.values))
             return pred <= 0.0 and cand_value <= value + ARMIJO_C * pred
 
-        return _backtrack(spec, K, u, _descent_directions(spec, K, g), sufficient_decrease, lambda v: v)
+        found = _backtrack(spec, K, u, _descent_directions(spec, K, g), sufficient_decrease, lambda v: v)
+        return None if found is None else (*found, None)
 
     u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)
     logger.info("projected gradient terminated (%s) after %d rows", trace.reason, len(trace))
@@ -330,11 +336,19 @@ def mountain_pass(
         # scales like distance^2 and falls under float resolution, while the
         # residual the loop stops on keeps contracting)
         merit_floor = 1e-13 * (1.0 + abs(value))
+        cand_rho = None  # VI residual of the last trial, if the test computed it
 
         def merit_or_residual_falls(cand, cand_value):
-            return cand_value < value - merit_floor or vi_residual(spec, K, cand) < 0.5 * rho
+            nonlocal cand_rho
+            cand_rho = None
+            if cand_value < value - merit_floor:
+                return True
+            cand_rho = vi_residual(spec, K, cand)
+            return cand_rho < 0.5 * rho
 
-        return _backtrack(spec, K, u, (direction,), merit_or_residual_falls, partial(ray_rescale, spec))
+        # _backtrack returns the first trial the test admits, the last one it saw
+        found = _backtrack(spec, K, u, (direction,), merit_or_residual_falls, partial(ray_rescale, spec))
+        return None if found is None else (*found, cand_rho)
 
     u, trace = _descend(spec, K, u, value, cfg, ridge_step)
     c = trace.rows[-1][1]

@@ -1,10 +1,16 @@
+import csv
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.grid import sphere_area, weighted_inner
+from hintcvx.grid import sphere_area, weighted_inner, write_node_csv
+from hintcvx.principle import mu_star, run_problem
 
 from conftest import random_dirichlet
 
@@ -69,6 +75,23 @@ class TestGridFunction:
         for row in rows:
             for cell in row.split(","):
                 float(cell)
+
+    @pytest.mark.parametrize(
+        "grid", [hx.RadialGrid(n=8), hx.Square2DGrid(m=3)], ids=["radial", "square"]
+    )
+    def test_node_csv_bytes_match_csv_writer(self, tmp_path, grid):
+        specials = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, -1.5, 0.1]
+        value = np.resize(specials, grid.size)
+        path = tmp_path / "u.csv"
+        write_node_csv(path, grid, {"value": value, "empty": None})
+        ref = tmp_path / "ref.csv"
+        coords = [grid.nodes] if isinstance(grid, hx.RadialGrid) else list(grid.nodes)
+        cells = [[repr(x) for x in c.tolist()] for c in coords + [value]] + [[""] * grid.size]
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow((["coord"] if len(coords) == 1 else ["x", "y"]) + ["value", "empty"])
+            writer.writerows(zip(*cells))
+        assert path.read_bytes() == ref.read_bytes()
 
 
 class TestQuadrature:
@@ -217,6 +240,65 @@ class Test2DLaplacian:
             rhs = weighted_inner(op.weights, op.apply(v), u)
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v)
             assert weighted_inner(op.weights, op.apply(u), u) > 0
+
+
+class TestSineBasisSolves:
+    """The square's form and H^2 Gram solves run in the sine basis."""
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 40])  # 13 and 41 are prime
+    def test_form_and_gram_match_sparse_solves(self, m):
+        g = hx.Square2DGrid(m=m)
+        op = hx.build_2d_laplacian(g)
+        geo = hx.H2Geometry(op)
+        b = np.random.default_rng(m).standard_normal(g.size)
+        K = op.form.tocsc()
+        h2 = g.h**2
+        x_ref = spla.spsolve(K, h2 * b)
+        gram = (h2 * sp.identity(g.size) + K + K @ K / h2).tocsc()
+        y_ref = spla.spsolve(gram, h2 * b)
+        x, y = op.solve_form(b), geo.riesz(b)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 40])
+    def test_riesz_identity(self, m):
+        g = hx.Square2DGrid(m=m)
+        op = hx.build_2d_laplacian(g)
+        geo = hx.H2Geometry(op)
+        rng = np.random.default_rng(100 + m)
+        gvals, v = rng.standard_normal(g.size), rng.standard_normal(g.size)
+        G = geo.riesz(gvals)
+        w = op.weights
+        h2_pairing = np.dot(w, G * v) + G @ (op.stiffness @ v) + np.dot(w, op.apply(G) * op.apply(v))
+        scale = geo.h2_norm(G) * geo.h2_norm(v)
+        assert abs(h2_pairing - weighted_inner(w, gvals, v)) <= 1e-10 * scale
+
+    def test_square_run_factors_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse factorization on the square")
+
+        monkeypatch.setattr(spla, "factorized", refuse)
+        monkeypatch.setattr(spla, "splu", refuse)
+        g = hx.Square2DGrid(m=12)
+        specs = [
+            hx.ProblemSpec(family="concave-convex", grid=g, p=3.0, q=1.5, mu=0.5 * mu_star(1.0, 3.0, 1.5)),
+            hx.ProblemSpec(
+                family="nonhomogeneous", grid=g, p=3.0, f=hx.GridFunction(g, 0.05 * np.ones(g.size))
+            ),
+        ]
+        for spec in specs:
+            cert, _ = run_problem(spec)
+            assert cert.verdict == "certified"
+        # the same patch does catch the radial grids' factor
+        with pytest.raises(AssertionError, match="sparse factorization"):
+            hx.build_radial_laplacian(hx.RadialGrid(n=9), hx.DIRICHLET_ZERO).form_solver
+
+    def test_concave_convex_certifies_at_prime_m_plus_one(self):
+        g = hx.Square2DGrid(m=192)  # m + 1 = 193 is prime
+        spec = hx.ProblemSpec(family="concave-convex", grid=g, p=3.0, q=1.5, mu=0.2 * mu_star(1.0, 3.0, 1.5))
+        cert, report = run_problem(spec)
+        assert cert.verdict == "certified"
+        assert report.iterations == 15
 
 
 @given(dim=st.integers(min_value=1, max_value=6))

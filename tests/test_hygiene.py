@@ -1,6 +1,10 @@
-"""Static hygiene: no module imports a name it never uses."""
+"""Static hygiene: no module imports a name it never uses, and importing
+the package stays cheap."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,14 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # scipy.optimize costs 0.24-0.32 s and 16 MB to import, scipy.fft
+    # 0.09 s and 3.7 MB; the package needs neither
+    probe = "import sys, hintcvx; print(sorted({'scipy.fft', 'scipy.optimize'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.strip() == "[]"

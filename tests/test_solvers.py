@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import NonlinearConstraint, minimize
 
 import hintcvx as hx
+from hintcvx import solvers
 from hintcvx.principle import ball_start, strong_residual
 from hintcvx.solvers import LINEAR_SOLVE_RTOL
 from hintcvx.grid import NEG_LAPLACIAN_PLUS_ID, weighted_inner
@@ -227,6 +228,20 @@ class TestMountainPass:
         assert hx.vi_residual(nr_spec, K, u0) <= 1e-10
         assert strong_residual(nr_spec, u0) <= 1e-8
         assert hx.contains(K, u0, 1e-12)
+
+    def test_halving_test_residual_not_recomputed(self, monkeypatch):
+        # three steps here are accepted by the halved VI residual; the loop
+        # reuses that residual for the next row, so each row costs one call
+        calls = []
+        original = solvers.vi_residual
+        monkeypatch.setattr(solvers, "vi_residual", lambda *args: calls.append(1) or original(*args))
+        g = hx.RadialGrid(n=801, dim=3)
+        a = hx.GridFunction(g, 1.0 + 3.0 * g.nodes, hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=3.0, a=a)
+        _, trace, _ = hx.mountain_pass(spec, hx.MonotoneCone(g, spec.weights), hx.SolverConfig())
+        assert trace.reason == "vi_residual"
+        assert len(trace) == 10
+        assert len(calls) == 10
 
 
 def _pg_run(cfg):
