@@ -198,7 +198,6 @@ class RunConfig:
     spec: ProblemSpec
     solver: SolverConfig
     output_dir: str
-    emit: dict
 
 
 def parse_config(path) -> RunConfig:
@@ -213,7 +212,7 @@ def parse_config(path) -> RunConfig:
     doc = _require_mapping(doc, "config")
     _check_keys(
         doc,
-        {"schema_version", "problem", "solver", "output_dir", "emit"},
+        {"schema_version", "problem", "solver", "output_dir"},
         {"schema_version", "problem"},
         "config",
     )
@@ -222,18 +221,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("config.schema_version", f"expected {SCHEMA_VERSION}")
     spec = build_problem_spec(doc["problem"])
     solver = build_solver_config(doc.get("solver"))
-    emit = {"certificate": True, "trace": True, "profile": True}
-    if "emit" in doc:
-        emit_doc = _require_mapping(doc["emit"], "emit")
-        _check_keys(emit_doc, set(emit), set(), "emit")
-        for key, val in emit_doc.items():
-            if not isinstance(val, bool):
-                raise ConfigError(f"emit.{key}", f"expected a boolean, got {val!r}")
-            emit[key] = val
     output_dir = doc.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ConfigError("config.output_dir", "expected a string path")
-    return RunConfig(spec=spec, solver=solver, output_dir=output_dir, emit=emit)
+    return RunConfig(spec=spec, solver=solver, output_dir=output_dir)
 
 
 def _load(args) -> RunConfig | None:
@@ -268,15 +259,14 @@ def cmd_solve(args) -> int:
         return 1
 
     try:
-        if run_cfg.emit["certificate"]:
-            doc = cert.to_json_dict()
-            doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-            with open(out_dir / "certificate.json", "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-        if run_cfg.emit["trace"] and len(report.trace):
+        doc = cert.to_json_dict()
+        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+        with open(out_dir / "certificate.json", "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        if len(report.trace):
             report.trace.to_csv(out_dir / "trace.csv")
-        if run_cfg.emit["profile"] and cert.u0 is not None:
+        if cert.u0 is not None:
             columns = {"u0": cert.u0.values, "v0": cert.v0.values if cert.v0 is not None else None}
             write_node_csv(out_dir / "profile.csv", run_cfg.spec.grid, columns)
     except OSError as exc:
@@ -311,9 +301,9 @@ def cmd_probe_lambda(args) -> int:
     if run_cfg is None:
         return 1
     spec, solver = run_cfg.spec, run_cfg.solver
-    _, r = ball_radius(spec)
     evaluations: list = []
     try:
+        _, r = ball_radius(spec)
         lam = forcing_threshold_probe(spec, r, solver, trace_out=evaluations)
     except (ValueError, RuntimeError) as exc:
         print(f"probe: {exc}", file=sys.stderr)

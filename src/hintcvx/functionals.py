@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     DIRICHLET_ZERO,
@@ -36,7 +34,6 @@ from .grid import (
     Square2DGrid,
     build_2d_laplacian,
     build_radial_laplacian,
-    sine_solver,
     weighted_inner,
 )
 
@@ -275,29 +272,14 @@ class H2Geometry:
 
     The Gram matrix on active nodes is H = W + S + F W^-1 F with S the
     laplacian stiffness and F the operator form; ``riesz(g)`` solves
-    H x = W g so that <x, v>_h2 = <g, v>_w for all admissible v.  Radial
-    grids factor H with sparse LU; on the square H is a polynomial in the
-    5-point stiffness and is solved in the sine basis (``sine_solver``).
+    H x = W g so that <x, v>_h2 = <g, v>_w for all admissible v.  H is
+    solved by the operator's one backend (``EllipticOperator.gram_solver``,
+    beside ``form_solver``), so every geometry on an operator shares its
+    factor.
     """
 
     def __init__(self, op: EllipticOperator):
         self.op = op
-        self._idx = np.flatnonzero(op.active)
-
-    @cached_property
-    def _gram_solver(self):
-        op = self.op
-        if isinstance(op.grid, Square2DGrid):
-            # W = h^2 I and S = F = K, so H = h^2 I + K + K^2 / h^2
-            h2 = op.grid.h**2
-            return sine_solver(op.grid, lambda lam: h2 + lam + lam * lam / h2)
-        idx = self._idx
-        W = sp.diags(op.weights[idx])
-        S = op.stiffness[np.ix_(idx, idx)]
-        F = op.form[np.ix_(idx, idx)]
-        Winv = sp.diags(1.0 / op.weights[idx])
-        H = (W + S + F @ Winv @ F).tocsc()
-        return spla.factorized(H)
 
     def h2_norm_sq(self, values: np.ndarray) -> float:
         op = self.op
@@ -311,9 +293,9 @@ class H2Geometry:
 
     def riesz(self, g_values: np.ndarray) -> np.ndarray:
         """H^2 Riesz representative of the weighted-pairing functional g."""
-        out = np.zeros(self.op.grid.size)
-        rhs = (self.op.weights * g_values)[self._idx]
-        out[self._idx] = self._gram_solver(rhs)
+        op = self.op
+        out = np.zeros(op.grid.size)
+        out[op.active] = op.gram_solver((op.weights * g_values)[op.active])
         return out
 
     def riesz_norm(self, g_values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -269,18 +269,35 @@ class EllipticOperator:
     def is_positive_definite(self) -> bool:
         return self.kind == NEG_LAPLACIAN_PLUS_ID or self.bc == DIRICHLET_ZERO
 
+    def _solver(self, gram: bool):
+        """The operator's one solve backend on active nodes, of the form F or
+        with ``gram`` of the H^2 Gram matrix W + S + F W^-1 F: the sine basis
+        on the square (there h^2 I + K + K^2 / h^2), sparse LU on radial grids."""
+        if isinstance(self.grid, Square2DGrid):
+            if gram:
+                h2 = self.grid.h**2
+                return sine_solver(self.grid, lambda lam: h2 + lam + lam * lam / h2)
+            return sine_solver(self.grid, lambda lam: lam)
+        idx = np.flatnonzero(self.active)
+        F = self.form[np.ix_(idx, idx)]
+        if gram:
+            w = self.weights[idx]
+            F = sp.diags(w) + self.stiffness[np.ix_(idx, idx)] + F @ sp.diags(1.0 / w) @ F
+        return spla.factorized(F.tocsc())
+
     @cached_property
     def form_solver(self):
-        """Cached solve of the active form matrix: sine-basis diagonalisation
-        on the square, a sparse LU factor on radial grids."""
+        """Cached solve of the active form matrix."""
         if not self.is_positive_definite:
             raise RankDeficiencyError(
                 "pure-Neumann negative Laplacian is rank deficient (constants in kernel)"
             )
-        if isinstance(self.grid, Square2DGrid):
-            return sine_solver(self.grid, lambda lam: lam)
-        idx = np.flatnonzero(self.active)
-        return spla.factorized(self.form[np.ix_(idx, idx)].tocsc())
+        return self._solver(gram=False)
+
+    @cached_property
+    def gram_solver(self):
+        """Cached solve of the active H^2 Gram matrix (``H2Geometry.riesz``)."""
+        return self._solver(gram=True)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Pointwise operator values A u (zero at inactive nodes).

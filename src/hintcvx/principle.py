@@ -86,47 +86,51 @@ def _bisect(fn, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y for a window bound; a bound past the float range is a
+    ValueError that says so, not an OverflowError or an infinity."""
+    try:
+        if (out := x**y) < math.inf:
+            return out
+    except OverflowError:
+        pass
+    raise ValueError(f"window bound {x!r} ** {y!r} lies beyond the float range")
+
+
 def radius_window(C1: float, mu: float, p: float, q: float) -> tuple[float, float] | None:
     """Interval [r1, r2] of radii with C1 (r^(p-1) + mu r^(q-1)) <= r.
 
     The defect g(r) = C1 r^(p-1) + C1 mu r^(q-1) - r changes sign in the
-    pattern +, -, + for mu > 0, so the admissible set is a single interval;
-    endpoints are bisected to absolute tolerance 1e-10.  Returns None when
-    the window is empty (min g > 0).  For mu = 0 the window is
-    [0, (1/C1)^(1/(p-2))], the exact root of g, and every sufficiently
-    small radius is admissible.
+    pattern +, -, + for mu > 0, so the admissible set is a single interval
+    around the minimizer rmin of g/r.  Every root lies below
+    b = (1/C1)^(1/(p-2)), where the first term alone equals r, and r1 lies
+    above a = (C1 mu)^(1/(2-q)), where the second one does; r2 is bisected
+    on [rmin, b] to absolute tolerance 1e-10, r1 on [a, rmin] in log scale
+    (relative resolution, since a is arbitrarily close to 0 as q -> 2) and
+    reported as 0 when a underflows.  Returns None when the window is empty
+    (min g > 0).  For mu = 0 the window is [0, b], b the exact root of g.
     """
     _validate_window_params(C1, mu, p, q)
     if mu == 0.0:
-        return 0.0, (1.0 / C1) ** (1.0 / (p - 2.0))
+        return 0.0, _power(1.0 / C1, 1.0 / (p - 2.0))
 
     def g(r: float) -> float:
-        return C1 * r ** (p - 1.0) + C1 * mu * r ** (q - 1.0) - r
+        try:
+            return C1 * r ** (p - 1.0) + C1 * mu * r ** (q - 1.0) - r
+        except OverflowError:
+            pass
+        # below b only r^(p-1) can overflow; past it g > 0
+        try:
+            return r * (C1 * r ** (p - 2.0) + C1 * mu * r ** (q - 2.0) - 1.0)
+        except OverflowError:
+            return math.inf
 
-    # interior minimizer of g/r, closed form
-    rmin = (mu * (2.0 - q) / (p - 2.0)) ** (1.0 / (p - q))
+    rmin = _power(mu * (2.0 - q) / (p - 2.0), 1.0 / (p - q))
     if g(rmin) > 0.0:
         return None
-    # left endpoint can sit at (C1 mu)^(1/(2-q)), arbitrarily close to 0 as
-    # q -> 2: bisect in log scale for relative resolution (stronger than the
-    # 1e-10 absolute contract for r1 <= 1); below the representable range
-    # report 0 like the mu = 0 case
-    lo = rmin
-    for _ in range(900):
-        lo *= 0.5
-        if g(lo) > 0.0:
-            break
-    else:
-        lo = 0.0
-    if lo == 0.0:
-        r1 = 0.0
-    else:
-        t = _bisect(lambda s: g(math.exp(s)), math.log(lo), math.log(2.0 * lo))
-        r1 = math.exp(t)
-    hi = max(2.0 * rmin, 10.0)
-    while g(hi) <= 0.0:
-        hi *= 2.0
-    r2 = _bisect(g, rmin, hi)
+    a = (C1 * mu) ** (1.0 / (2.0 - q))
+    r1 = 0.0 if a == 0.0 else math.exp(_bisect(lambda s: g(math.exp(s)), math.log(a), math.log(rmin)))
+    r2 = _bisect(g, rmin, _power(1.0 / C1, 1.0 / (p - 2.0)))
     return r1, r2
 
 
@@ -139,8 +143,11 @@ def mu_star(C1: float, p: float, q: float) -> float:
     it equals (p-2)/(p-q) r*^(2-q) / C1.
     """
     _validate_window_params(C1, 0.0, p, q)
-    r_star = ((2.0 - q) / (C1 * (p - q))) ** (1.0 / (p - 2.0))
-    return (p - 2.0) / (p - q) * r_star ** (2.0 - q) / C1
+    r_star = _power((2.0 - q) / (C1 * (p - q)), 1.0 / (p - 2.0))
+    star = (p - 2.0) / (p - q) * r_star ** (2.0 - q) / C1
+    if star == math.inf:
+        raise ValueError(f"mu_star lies beyond the float range at C1={C1}, p={p}, q={q}")
+    return star
 
 
 def default_radius(window: tuple[float, float]) -> float:

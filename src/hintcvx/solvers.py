@@ -1,8 +1,9 @@
 """Optimization drivers: the stage-ii linear solve, and one stage-i loop
 (``_descend``: trace, termination tests, reason) run with two step rules.
 Every solve with A, in either stage, uses the solver cached on the
-operator (``EllipticOperator.form_solver``): a sparse LU factor on radial
-grids, sine-basis diagonalisation on the square.
+operator (``EllipticOperator.form_solver``).  It and the H^2 Gram solve of
+the fallback direction come from the operator's one backend: a sparse LU
+factor on radial grids, sine-basis diagonalisation on the square.
 
 Descent directions are Riesz representatives of the energy gradient in the
 quadratic-form inner product of Psi (one solve with A per step),

@@ -79,16 +79,20 @@ class TestSolveCommand:
         assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key", ["cg_tol", "cg_max_iters", "path_nodes", "step0", "armijo_c", "armijo_shrink"]
+        "key", ["cg_tol", "cg_max_iters", "path_nodes", "step0", "armijo_c", "armijo_shrink", "emit"]
     )
     def test_removed_cg_keys_rejected(self, tmp_path, capsys, key):
-        # each value was a valid setting where the key still existed
+        # each value was a valid setting where the key still existed; emit
+        # was a top-level block of output switches
         values = {"cg_tol": 1e-9, "step0": 1.0, "armijo_c": 1e-4, "armijo_shrink": 0.5}
         doc = base_config(tmp_path / "out")
-        doc["solver"][key] = values.get(key, 100)
+        if key == "emit":
+            section, doc["emit"] = "config", {"certificate": True, "trace": True, "profile": True}
+        else:
+            section, doc["solver"][key] = "solver", values.get(key, 100)
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", str(cfg)]) == 1
-        assert f"solver.{key}" in capsys.readouterr().err
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_solver_range_error_names_field(self, tmp_path, capsys):
         doc = base_config(tmp_path / "out")
@@ -402,3 +406,54 @@ class TestHugeWindowsTerminate:
         proc = self.run_cli("solve", "--config", str(write_config(tmp_path, doc)))
         assert proc.returncode == 0, proc.stderr
         assert "verdict: certified" in proc.stdout
+
+
+class TestFloatRangeEnds:
+    """Finite inputs whose window reaches past the float range end in each
+    command's own error, or in an empty window, not in a traceback."""
+
+    def run_cli(self, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "hintcvx.cli", *args], capture_output=True, text=True, timeout=60
+        )
+
+    def run_config(self, tmp_path, command, family):
+        problem = {
+            "family": family,
+            "grid": {"kind": "radial", "n": 21, "dim": 1},
+            "p": 2.0001,
+            "C1": 1e-300,
+        }
+        if family == "concave-convex":
+            problem.update(q=1.5, mu=0.0)
+        else:
+            problem["f"] = {"kind": "sin-pi", "amplitude": 1.0}
+        doc = {"schema_version": 1, "problem": problem, "output_dir": str(tmp_path / "out")}
+        return self.run_cli(command, "--config", str(write_config(tmp_path, doc)))
+
+    @pytest.mark.parametrize("p", ["2.0001", "3"])  # r2 past the range; mu_star past it
+    def test_window_past_float_range_is_an_error(self, p):
+        proc = self.run_cli("window", "--C1", "1e-300", "--mu", "0", "--p", p, "--q", "1.5")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("window:") and "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_defect_means_empty_window(self):
+        proc = self.run_cli("window", "--C1", "1", "--mu", "1e308", "--p", "3", "--q", "1.5")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["r1"] is None and doc["r2"] is None
+        assert doc["mu_star"] == pytest.approx(2 / (3 * np.sqrt(3)), rel=1e-12)
+        assert "Traceback" not in proc.stderr
+
+    def test_solve_with_default_radius_past_float_range(self, tmp_path):
+        proc = self.run_config(tmp_path, "solve", "concave-convex")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("solve:") and "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_probe_with_default_radius_past_float_range(self, tmp_path):
+        proc = self.run_config(tmp_path, "probe-lambda", "nonhomogeneous")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("probe:") and "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr

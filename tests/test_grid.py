@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.grid import sphere_area, weighted_inner, write_node_csv
+from hintcvx.grid import NEG_LAPLACIAN_PLUS_ID, sphere_area, weighted_inner, write_node_csv
 from hintcvx.principle import mu_star, run_problem
 
 from conftest import random_dirichlet
@@ -245,20 +245,30 @@ class Test2DLaplacian:
 class TestSineBasisSolves:
     """The square's form and H^2 Gram solves run in the sine basis."""
 
-    @pytest.mark.parametrize("m", [2, 3, 12, 40])  # 13 and 41 are prime
-    def test_form_and_gram_match_sparse_solves(self, m):
-        g = hx.Square2DGrid(m=m)
-        op = hx.build_2d_laplacian(g)
+    @pytest.mark.parametrize(
+        "op",
+        [hx.build_2d_laplacian(hx.Square2DGrid(m=m)) for m in (2, 3, 12, 40)]  # 13 and 41 are prime
+        + [
+            hx.build_radial_laplacian(hx.RadialGrid(n=41), hx.DIRICHLET_ZERO),
+            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID),
+        ],
+        ids=["2", "3", "12", "40", "radial-dim1-dirichlet", "radial-dim3-neumann"],
+    )
+    def test_form_and_gram_match_sparse_solves(self, op):
+        # both systems go through the operator's one backend: the sine basis
+        # on the square, sparse LU on radial grids
         geo = hx.H2Geometry(op)
-        b = np.random.default_rng(m).standard_normal(g.size)
-        K = op.form.tocsc()
-        h2 = g.h**2
-        x_ref = spla.spsolve(K, h2 * b)
-        gram = (h2 * sp.identity(g.size) + K + K @ K / h2).tocsc()
-        y_ref = spla.spsolve(gram, h2 * b)
+        idx = np.flatnonzero(op.active)
+        b = np.random.default_rng(op.grid.size).standard_normal(op.grid.size)
+        w = op.weights[idx]
+        F = op.form[np.ix_(idx, idx)]
+        gram = sp.diags(w) + op.stiffness[np.ix_(idx, idx)] + F @ sp.diags(1.0 / w) @ F
+        x_ref = spla.spsolve(F.tocsc(), w * b[idx])
+        y_ref = spla.spsolve(gram.tocsc(), w * b[idx])
         x, y = op.solve_form(b), geo.riesz(b)
-        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-        assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+        for sol, ref in ((x, x_ref), (y, y_ref)):
+            assert np.linalg.norm(sol[idx] - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert not sol[~op.active].any()
 
     @pytest.mark.parametrize("m", [2, 3, 12, 40])
     def test_riesz_identity(self, m):

@@ -46,3 +46,19 @@ def test_import_loads_no_heavy_scipy_module():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert out.stdout.strip() == "[]"
+
+
+def imported_modules(source: str) -> set[str]:
+    tree = ast.parse(source)
+    mods = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    mods |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    return mods
+
+
+def test_one_module_holds_the_linear_algebra():
+    # every solve, with the form or the H^2 Gram matrix, is built by the
+    # operator's backend in grid.py
+    sources = {p.name: p.read_text() for p in (ROOT / "src/hintcvx").glob("*.py")}
+    users = sorted(name for name, src in sources.items() if "scipy.sparse.linalg" in imported_modules(src))
+    assert users == ["grid.py"]
+    assert not any(m.startswith("scipy.sparse") for m in imported_modules(sources["functionals.py"]))

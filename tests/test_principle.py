@@ -49,6 +49,16 @@ class TestRadiusWindow:
         assert hx.radius_window(1.0, 1.01 * star, 3.0, 1.5) is None
         assert hx.radius_window(1.0, 0.99 * star, 3.0, 1.5) is not None
 
+    def test_float_range_ends(self):
+        # r2 ~ 1/C1 = 1e300, where r^(p-1) alone overflows inside the window
+        assert hx.radius_window(1e-300, 1e-3, 3.0, 1.5)[1] == pytest.approx(1e300, rel=1e-12)
+        # g overflows at its minimizer: the window is empty
+        assert hx.radius_window(1.0, 1e308, 3.0, 1.5) is None
+        with pytest.raises(ValueError, match="float range"):
+            hx.radius_window(1e-300, 0.0, 2.0001, 1.5)
+        with pytest.raises(ValueError, match="float range"):
+            hx.mu_star(1e-300, 3.0, 1.5)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             hx.radius_window(-1.0, 0.1, 3.0, 1.5)
