@@ -70,7 +70,7 @@ def contains(K: ConvexSet, u: GridFunction, tol: float = DEFAULT_MEMBERSHIP_TOL)
     """Membership with slack tol; deterministic."""
     _check_set_grid(K, u)
     if isinstance(K, H2Ball):
-        return K.geometry.h2_norm(u.values) <= K.r + tol
+        return K.geometry.norm(u) <= K.r + tol
     v = u.values
     if np.min(v) < -tol:
         return False
@@ -81,7 +81,7 @@ def contains(K: ConvexSet, u: GridFunction, tol: float = DEFAULT_MEMBERSHIP_TOL)
 def project_ball(K: H2Ball, u: GridFunction) -> GridFunction:
     """Exact metric projection onto the ball in its own h2 inner product."""
     _check_set_grid(K, u)
-    nrm = K.geometry.h2_norm(u.values)
+    nrm = K.geometry.norm(u)
     if nrm <= K.r:
         return u
     return u.with_values(u.values * (K.r / nrm))

@@ -16,6 +16,7 @@ derivative for every admissible direction h.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,10 @@ NONHOMOGENEOUS = "nonhomogeneous"
 NEUMANN_RADIAL = "neumann-radial"
 FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS, NEUMANN_RADIAL)
 BALL_FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS)
+
+# ProblemSpec.operator's cache on (grid, bc, kind).  Its values are weak:
+# the cache itself keeps no operator, and so no factor, alive.
+_OPERATORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class DegenerateInputError(ValueError):
@@ -130,10 +135,19 @@ class ProblemSpec:
 
     @cached_property
     def operator(self) -> EllipticOperator:
-        if isinstance(self.grid, Square2DGrid):
-            return build_2d_laplacian(self.grid)
+        """The family's operator on this grid, built on the first request
+        and then shared, read-only, by every spec on an equal grid for as
+        long as one of them holds it."""
         kind = NEG_LAPLACIAN if self.family in BALL_FAMILIES else NEG_LAPLACIAN_PLUS_ID
-        return build_radial_laplacian(self.grid, self.bc, kind)
+        key = (self.grid, self.bc, kind)
+        op = _OPERATORS.get(key)
+        if op is None:
+            if isinstance(self.grid, Square2DGrid):
+                op = build_2d_laplacian(self.grid)
+            else:
+                op = build_radial_laplacian(self.grid, self.bc, kind)
+            _OPERATORS[key] = op
+        return op
 
     @property
     def weights(self) -> np.ndarray:
@@ -280,6 +294,7 @@ class H2Geometry:
 
     def __init__(self, op: EllipticOperator):
         self.op = op
+        self._last: tuple[GridFunction, float] | None = None
 
     def h2_norm_sq(self, values: np.ndarray) -> float:
         op = self.op
@@ -290,6 +305,17 @@ class H2Geometry:
 
     def h2_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(max(self.h2_norm_sq(values), 0.0)))
+
+    def norm(self, u: GridFunction) -> float:
+        """``h2_norm`` of a grid function, kept for the last one asked: a run
+        asks again for the point it has just projected, tested or traced,
+        and a grid function's values never change."""
+        last = self._last
+        if last is not None and last[0] is u:
+            return last[1]
+        nrm = self.h2_norm(u.values)
+        self._last = (u, nrm)
+        return nrm
 
     def riesz(self, g_values: np.ndarray) -> np.ndarray:
         """H^2 Riesz representative of the weighted-pairing functional g."""

@@ -248,6 +248,9 @@ class EllipticOperator:
     ``form`` adds the identity term when the kind includes it.  Dirichlet
     rows and columns are zeroed, so the operator acts on the subspace of
     functions vanishing at the boundary and returns members of it.
+
+    One operator serves every problem on its grid, so its arrays, and those
+    of its matrices, are read-only.
     """
 
     kind: str
@@ -258,12 +261,19 @@ class EllipticOperator:
     active: np.ndarray = field(repr=False)
     edge_coeffs: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        S = self.stiffness
+        _read_only(S.data, S.indices, S.indptr, self.weights, self.active)
+        if self.edge_coeffs is not None:
+            _read_only(self.edge_coeffs)
+
     @cached_property
     def form(self) -> sp.csr_matrix:
         if self.kind == NEG_LAPLACIAN:
             return self.stiffness
-        ident = sp.diags(np.where(self.active, self.weights, 0.0))
-        return (self.stiffness + ident).tocsr()
+        F = (self.stiffness + sp.diags(np.where(self.active, self.weights, 0.0))).tocsr()
+        _read_only(F.data, F.indices, F.indptr)
+        return F
 
     @property
     def is_positive_definite(self) -> bool:
@@ -329,6 +339,11 @@ class EllipticOperator:
         idx = self.active
         x[idx] = self.form_solver((self.weights * rhs_values)[idx])
         return x
+
+
+def _read_only(*arrays) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 def _mask_matrix(S: sp.spmatrix, active: np.ndarray) -> sp.csr_matrix:

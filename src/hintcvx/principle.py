@@ -202,9 +202,10 @@ def step_ii_verify(spec: ProblemSpec, K: ConvexSet, u0: GridFunction) -> tuple[G
     """
     rhs = phi_grad(spec, u0)
     v0 = linear_solve(spec.operator, rhs)
+    # u0's norm first: stage i's last trace row has just asked for it
+    u0_h2 = spec.geometry.norm(u0)
     in_k = contains(K, v0, DEFAULT_MEMBERSHIP_TOL)
-    u0_h2 = spec.geometry.h2_norm(u0.values)
-    v0_h2 = spec.geometry.h2_norm(v0.values)
+    v0_h2 = spec.geometry.norm(v0)
     chain = spec.C1 * (u0_h2 ** (spec.p - 1.0))
     if spec.q is not None and spec.mu > 0.0:
         chain += spec.C1 * spec.mu * u0_h2 ** (spec.q - 1.0)

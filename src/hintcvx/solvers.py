@@ -223,7 +223,7 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
     for k in range(cfg.max_iters):
         if rho is None:
             rho = vi_residual(spec, K, u)
-        trace.append(k, value, rho, step_prev, spec.geometry.h2_norm(u.values))
+        trace.append(k, value, rho, step_prev, spec.geometry.norm(u))
         if rho <= cfg.tol_residual:
             trace.reason = "vi_residual"
             return u, trace
@@ -241,7 +241,7 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
         reason = "max_iters"
     if rho is None:
         rho = vi_residual(spec, K, u)
-    trace.append(k + 1, value, rho, step_prev, spec.geometry.h2_norm(u.values))
+    trace.append(k + 1, value, rho, step_prev, spec.geometry.norm(u))
     if rho <= cfg.tol_residual and reason == "max_iters":
         reason = "vi_residual"
     trace.reason = reason

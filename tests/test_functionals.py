@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import hintcvx as hx
 from hintcvx.functionals import DegenerateInputError, FieldError
-from hintcvx.grid import weighted_inner
+from hintcvx.grid import NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID, weighted_inner
+from hintcvx.principle import mu_star, run_problem
 
 from conftest import random_dirichlet, random_neumann
 
@@ -254,3 +256,40 @@ class TestNormsAndEnergy:
             warnings.simplefilter("error")
             total = hx.energy(nr_spec, u).total
         assert not np.isfinite(total)
+
+
+class TestOperatorSharing:
+    """ProblemSpec.operator builds one operator per (grid, bc, kind) and
+    shares it, factors included, while some spec holds it."""
+
+    @pytest.mark.parametrize(
+        "make_grid", [lambda: hx.RadialGrid(n=57, dim=3), lambda: hx.Square2DGrid(m=9)], ids=["radial", "square"]
+    )
+    def test_equal_grids_share_one_operator(self, make_grid):
+        g1, g2 = make_grid(), make_grid()
+        assert g1 == g2 and g1 is not g2
+        s1 = hx.ProblemSpec(family="concave-convex", grid=g1, p=3.0, q=1.5, mu=0.1)
+        s2 = hx.ProblemSpec(family="concave-convex", grid=g2, p=4.0, q=1.2, mu=0.3)
+        assert s1.operator is s2.operator
+        assert s1.operator.form_solver is s2.operator.form_solver
+        assert s1.operator.gram_solver is s2.operator.gram_solver
+
+    def test_bc_and_kind_keep_operators_apart(self, grid3d):
+        ball = hx.ProblemSpec(family="concave-convex", grid=grid3d, p=3.0, q=1.5, mu=0.1)
+        a = hx.GridFunction(grid3d, 1.0 + grid3d.nodes, hx.NEUMANN_ZERO)
+        cone = hx.ProblemSpec(family="neumann-radial", grid=grid3d, p=3.0, a=a)
+        assert ball.operator is not cone.operator
+        assert (ball.operator.bc, ball.operator.kind) == (hx.DIRICHLET_ZERO, NEG_LAPLACIAN)
+        assert (cone.operator.bc, cone.operator.kind) == (hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID)
+
+    def test_operator_dies_with_its_last_spec(self):
+        # no gc.collect(): the cache holds no strong reference and a run
+        # leaves no reference cycle that keeps the operator alive
+        g = hx.RadialGrid(n=63, dim=1)
+        spec = hx.ProblemSpec(family="concave-convex", grid=g, p=3.0, q=1.5, mu=0.5 * mu_star(1.0, 3.0, 1.5))
+        cert, report = run_problem(spec)
+        assert cert.verdict == "certified"
+        op = weakref.ref(spec.operator)
+        assert op().form_solver is not None and op().gram_solver is not None
+        del spec, cert, report
+        assert op() is None

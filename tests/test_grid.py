@@ -242,6 +242,27 @@ class Test2DLaplacian:
             assert weighted_inner(op.weights, op.apply(u), u) > 0
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        hx.build_radial_laplacian(hx.RadialGrid(n=9), hx.DIRICHLET_ZERO),
+        hx.build_radial_laplacian(hx.RadialGrid(n=9, dim=3), hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID),
+        hx.build_2d_laplacian(hx.Square2DGrid(m=3)),
+    ],
+    ids=["radial-dirichlet", "radial-neumann-plus-identity", "square"],
+)
+def test_operator_arrays_are_read_only(op):
+    # one operator serves every spec on its grid, so none may change it
+    arrays = [op.weights, op.active]
+    for M in (op.stiffness, op.form):
+        arrays += [M.data, M.indices, M.indptr]
+    if op.edge_coeffs is not None:
+        arrays.append(op.edge_coeffs)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
 class TestSineBasisSolves:
     """The square's form and H^2 Gram solves run in the sine basis."""
 

@@ -1,8 +1,12 @@
+import collections
+import gc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 import hintcvx as hx
+from hintcvx import functionals
 from hintcvx.principle import (
     VERDICT_CERTIFIED,
     VERDICT_STEP_II_FAILED,
@@ -235,6 +239,27 @@ class TestRunProblem:
         assert cert.verdict == VERDICT_CERTIFIED
         assert report.reason in ("vi_residual", "step")
 
+    @pytest.mark.parametrize(
+        "grid, repeats_before",
+        [(hx.RadialGrid(n=201, dim=1), 42), (hx.Square2DGrid(m=40), 40)],
+        ids=["radial-201", "square-40"],
+    )
+    def test_h2_norm_evaluated_once_per_point(self, monkeypatch, grid, repeats_before):
+        # the stage-i trace, the VI residual's membership test, the ball
+        # projection and stage ii each asked for the same points' norms
+        calls = collections.Counter()
+        h2_norm = hx.H2Geometry.h2_norm
+
+        def counted(geo, values):
+            calls[np.asarray(values, dtype=float).tobytes()] += 1
+            return h2_norm(geo, values)
+
+        monkeypatch.setattr(hx.H2Geometry, "h2_norm", counted)
+        spec = hx.ProblemSpec(family="concave-convex", grid=grid, p=3.0, q=1.5, mu=0.5 * hx.mu_star(1.0, 3.0, 1.5))
+        cert, _ = run_problem(spec)
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert sum(calls.values()) - len(calls) <= repeats_before // 2
+
     def test_empty_window_short_circuits(self, grid1d):
         star = hx.mu_star(1.0, 4.0, 1.5)
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=2 * star)
@@ -362,6 +387,20 @@ class TestForcingProbe:
         cfg = hx.SolverConfig()
         lams = [hx.forcing_threshold_probe(spec, r, cfg) for r in (0.5, 0.2, 0.05)]
         assert lams[0] > lams[1] > lams[2] > 0.0
+
+    def test_probe_builds_one_operator(self, monkeypatch):
+        # every amplitude's spec shares the template's operator and factors
+        builds, solvers = [], []
+        build, solver = functionals.build_radial_laplacian, hx.EllipticOperator._solver
+        monkeypatch.setattr(functionals, "build_radial_laplacian", lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(hx.EllipticOperator, "_solver", lambda op, gram: solvers.append(gram) or solver(op, gram))
+        gc.collect()  # no spec left over from another test shares the grid
+        spec = self.make_template()
+        evals = []
+        hx.forcing_threshold_probe(spec, 0.5, hx.SolverConfig(), trace_out=evals)
+        assert len(evals) == 32
+        assert len(builds) == 1
+        assert sorted(solvers) == [False, True]
 
     def test_family_check(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)
