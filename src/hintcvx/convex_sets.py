@@ -89,13 +89,28 @@ def project_ball(K: H2Ball, u: GridFunction) -> GridFunction:
 
 def isotonic_fit(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted isotonic regression: argmin sum w_i (x_i - y_i)^2 over
-    nondecreasing x, by pool-adjacent-violators.
+    nondecreasing x.
+
+    A nondecreasing y (ties allowed) is its own fit and comes back as a
+    copy, which is bitwise what the pool-adjacent-violators loop
+    (``_pool_adjacent_violators``) returns, since it pools strict violators
+    only; the loop runs on every other input.  The mountain pass's trial
+    points are in practice nondecreasing already, so on them the cone
+    projection costs one vectorised comparison.
+    """
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if np.all(y[1:] >= y[:-1]):  # also true below two entries
+        return y.copy()
+    return _pool_adjacent_violators(y, w)
+
+
+def _pool_adjacent_violators(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The pool-adjacent-violators loop behind ``isotonic_fit``.
 
     Block means are computed once per merged block, so within a block the
     output values are bitwise equal and across blocks strictly increasing.
     """
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
     means: list[float] = []
     wsums: list[float] = []
     counts: list[int] = []

@@ -17,7 +17,7 @@ derivative for every admissible direction h.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -83,6 +83,8 @@ class ProblemSpec:
     a: GridFunction | None = None
     C1: float = 1.0
     r: float | None = None
+    # energy_grad's last point and its gradient
+    _last_grad: tuple[GridFunction, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
@@ -257,8 +259,20 @@ def phi_grad(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 
 def energy_grad(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     """Values of I'(u) = Psi'(u) - Phi'(u) in the weighted pairing, which is
-    also the residual A u - Phi'(u) of the strong equation."""
-    return psi_grad(spec, u).values - phi_grad(spec, u).values
+    also the residual A u - Phi'(u) of the strong equation.
+
+    The gradient is kept on the spec for the last grid function asked: a
+    run asks again for the point whose VI residual it has just taken, and a
+    grid function's values never change.  The array is shared by those
+    callers, so it is read-only.
+    """
+    last = spec._last_grad
+    if last is not None and last[0] is u:
+        return last[1]
+    g = psi_grad(spec, u).values - phi_grad(spec, u).values
+    g.flags.writeable = False
+    spec._last_grad = (u, g)
+    return g
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import LinearConstraint, minimize
 
 import hintcvx as hx
-from hintcvx.convex_sets import isotonic_fit
+from hintcvx.convex_sets import _pool_adjacent_violators, isotonic_fit
 from hintcvx.grid import weighted_inner
 
 from conftest import random_dirichlet
@@ -29,6 +29,25 @@ def cone_of(grid):
 
 def neumann(grid, vals):
     return hx.GridFunction(grid, vals, hx.NEUMANN_ZERO)
+
+
+@st.composite
+def isotonic_inputs(draw):
+    """(y, w) on both sides of isotonic_fit's fast path: nondecreasing with
+    ties (signed zeros among them), strictly increasing, one adjacent
+    violation, size 0 or 1; weights may be zero."""
+    kind = draw(st.sampled_from(["ties", "strict", "one-violation", "tiny"]))
+    if kind == "tiny":
+        y = draw(hnp.arrays(float, st.integers(0, 1), elements=st.floats(-100, 100)))
+    elif kind == "ties":
+        y = np.sort(draw(hnp.arrays(float, st.integers(2, 30), elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]))))
+    else:
+        y = np.unique(draw(hnp.arrays(float, st.integers(2, 30), elements=st.floats(-100, 100))))
+        if kind == "one-violation" and y.size >= 2:
+            i = draw(st.integers(1, y.size - 1))
+            y[i - 1], y[i] = y[i], y[i - 1]
+    w = draw(hnp.arrays(float, y.size, elements=st.one_of(st.just(0.0), st.floats(0.0, 10.0))))
+    return y, w
 
 
 class TestConstruction:
@@ -175,6 +194,18 @@ class TestConeProjection:
         assert np.min(np.diff(fit), initial=0.0) >= 0.0
         # idempotence: fitting a monotone vector returns it unchanged
         np.testing.assert_array_equal(isotonic_fit(fit, w), fit)
+
+    @given(yw=isotonic_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_isotonic_fit_bitwise_equals_the_loop(self, yw):
+        # the fast path for nondecreasing inputs returns what the
+        # pool-adjacent-violators loop returns, bit for bit
+        y, w = yw
+        fit = isotonic_fit(y, w)
+        ref = _pool_adjacent_violators(y, w)
+        assert fit.dtype == ref.dtype and fit.shape == ref.shape
+        np.testing.assert_array_equal(np.frombuffer(fit.tobytes(), np.uint8), np.frombuffer(ref.tobytes(), np.uint8))
+        assert not np.shares_memory(fit, y)
 
 
 class TestProjectionGeometry:

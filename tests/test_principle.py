@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 import hintcvx as hx
-from hintcvx import functionals
+from hintcvx import convex_sets, functionals
 from hintcvx.principle import (
     VERDICT_CERTIFIED,
     VERDICT_STEP_II_FAILED,
@@ -21,6 +21,17 @@ from hintcvx.principle import (
 
 def window_defect(C1, mu, p, q):
     return lambda r: C1 * r ** (p - 1) + C1 * mu * r ** (q - 1) - r
+
+
+def _certified_spec(family):
+    """Radial n=201 specs that certify: concave-convex dim 1 at mu*/2 and
+    neumann-radial dim 3 with a = 1 + r/2."""
+    if family == "concave-convex":
+        g = hx.RadialGrid(n=201, dim=1)
+        return hx.ProblemSpec(family=family, grid=g, p=3.0, q=1.5, mu=0.5 * hx.mu_star(1.0, 3.0, 1.5))
+    g = hx.RadialGrid(n=201, dim=3)
+    a = hx.GridFunction(g, 1.0 + 0.5 * g.nodes, hx.NEUMANN_ZERO)
+    return hx.ProblemSpec(family=family, grid=g, p=4.0, a=a)
 
 
 class TestRadiusWindow:
@@ -259,6 +270,40 @@ class TestRunProblem:
         cert, _ = run_problem(spec)
         assert cert.verdict == VERDICT_CERTIFIED
         assert sum(calls.values()) - len(calls) <= repeats_before // 2
+
+    @pytest.mark.parametrize("family", ["concave-convex", "neumann-radial"])
+    def test_energy_grad_evaluated_once_per_point(self, monkeypatch, family):
+        # the VI residual, the step rule that follows it on the same point
+        # and the strong residual each asked for the same gradient
+        calls = collections.Counter()
+        psi_grad = functionals.psi_grad
+
+        def counted(spec, u):
+            calls[u.values.tobytes()] += 1
+            return psi_grad(spec, u)
+
+        monkeypatch.setattr(functionals, "psi_grad", counted)
+        spec = _certified_spec(family)
+        cert, _ = run_problem(spec)
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert len(calls) > 1
+        assert sum(calls.values()) == len(calls)
+        # one array is shared by every caller on the point
+        g = functionals.energy_grad(spec, cert.u0)
+        with pytest.raises(ValueError):
+            g[0] = 1.0
+
+    def test_cone_projection_loop_never_runs(self, monkeypatch):
+        # every mountain-pass trial point is already nondecreasing, so the
+        # pool-adjacent-violators loop is skipped on each projection
+        fits, loops = [], []
+        isotonic_fit, pav = convex_sets.isotonic_fit, convex_sets._pool_adjacent_violators
+        monkeypatch.setattr(convex_sets, "isotonic_fit", lambda y, w: fits.append(1) or isotonic_fit(y, w))
+        monkeypatch.setattr(convex_sets, "_pool_adjacent_violators", lambda y, w: loops.append(1) or pav(y, w))
+        cert, _ = run_problem(_certified_spec("neumann-radial"))
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert len(fits) > 0
+        assert len(loops) == 0
 
     def test_empty_window_short_circuits(self, grid1d):
         star = hx.mu_star(1.0, 4.0, 1.5)
