@@ -50,7 +50,6 @@ DEFAULT_TOL_STRONG = 1e-6
 VERDICT_CERTIFIED = "certified"
 VERDICT_STEP_II_FAILED = "step-ii-failed"
 VERDICT_NOT_CRITICAL = "not-critical"
-_WINDOW_TOL = 1e-10
 # forcing_threshold_probe: first amplitude, doublings and bisection steps
 PROBE_S_START = 1e-2
 PROBE_DOUBLINGS = 40
@@ -68,70 +67,48 @@ def _validate_window_params(C1: float, mu: float, p: float, q: float) -> None:
         raise ValueError(f"exponents must satisfy 1 < q < 2 < p, got q={q}, p={p}")
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    """Bisection for the sign change of fn on [lo, hi] to absolute
-    _WINDOW_TOL, or until no double lies strictly between lo and hi
-    (brackets above ~5e5 are wider than _WINDOW_TOL at their float
-    spacing)."""
-    flo = fn(lo)
-    while hi - lo > _WINDOW_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = fn(mid)
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+def _bisect(h, inside: float, outside: float) -> float:
+    """Bisect the boundary of {h <= 0} between a point inside it and one
+    outside until no double lies between them; returns the inside end."""
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        if h(mid) <= 0.0:
+            inside = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _power(x: float, y: float) -> float:
-    """x ** y for a window bound; a bound past the float range is a
-    ValueError that says so, not an OverflowError or an infinity."""
-    try:
-        if (out := x**y) < math.inf:
-            return out
-    except OverflowError:
-        pass
-    raise ValueError(f"window bound {x!r} ** {y!r} lies beyond the float range")
+            outside = mid
+    return inside
 
 
 def radius_window(C1: float, mu: float, p: float, q: float) -> tuple[float, float] | None:
     """Interval [r1, r2] of radii with C1 (r^(p-1) + mu r^(q-1)) <= r.
 
-    The defect g(r) = C1 r^(p-1) + C1 mu r^(q-1) - r changes sign in the
-    pattern +, -, + for mu > 0, so the admissible set is a single interval
-    around the minimizer rmin of g/r.  Every root lies below
-    b = (1/C1)^(1/(p-2)), where the first term alone equals r, and r1 lies
-    above a = (C1 mu)^(1/(2-q)), where the second one does; r2 is bisected
-    on [rmin, b] to absolute tolerance 1e-10, r1 on [a, rmin] in log scale
-    (relative resolution, since a is arbitrarily close to 0 as q -> 2) and
-    reported as 0 when a underflows.  Returns None when the window is empty
-    (min g > 0).  For mu = 0 the window is [0, b], b the exact root of g.
+    In s = log r the test divided by r reads h(s) <= 0, with
+    h(s) = e^((p-2)(s-b)) + expm1((2-q)(a-s)), b = -log(C1)/(p-2) where the
+    first term alone equals r and a = log(C1 mu)/(2-q) where the second
+    one does.  One exponential exceeds 1 outside [a, b], so the window lies
+    in [a, b], where both exponents are <= 0 and h cannot overflow.  h is
+    convex with minimiser m = ((2-q) a + (p-2) b + log((2-q)/(p-2))) / (p-q):
+    the window is empty (None) unless a <= m <= b and h(m) <= 0, and each
+    root is bisected between m and a or b until no double lies between the
+    bracket ends; r1 and r2 are the inside ends.  For mu = 0, a = -inf and
+    the window is [0, e^b].  A bound past the float range is a ValueError.
     """
     _validate_window_params(C1, mu, p, q)
-    if mu == 0.0:
-        return 0.0, _power(1.0 / C1, 1.0 / (p - 2.0))
+    b = -math.log(C1) / (p - 2.0)
+    s1, s2 = -math.inf, b
+    if mu > 0.0:
+        a = (math.log(C1) + math.log(mu)) / (2.0 - q)
+        m = ((2.0 - q) * a + (p - 2.0) * b + math.log((2.0 - q) / (p - 2.0))) / (p - q)
 
-    def g(r: float) -> float:
-        try:
-            return C1 * r ** (p - 1.0) + C1 * mu * r ** (q - 1.0) - r
-        except OverflowError:
-            pass
-        # below b only r^(p-1) can overflow; past it g > 0
-        try:
-            return r * (C1 * r ** (p - 2.0) + C1 * mu * r ** (q - 2.0) - 1.0)
-        except OverflowError:
-            return math.inf
+        def h(s: float) -> float:
+            return math.exp((p - 2.0) * (s - b)) + math.expm1((2.0 - q) * (a - s))
 
-    rmin = _power(mu * (2.0 - q) / (p - 2.0), 1.0 / (p - q))
-    if g(rmin) > 0.0:
-        return None
-    a = (C1 * mu) ** (1.0 / (2.0 - q))
-    r1 = 0.0 if a == 0.0 else math.exp(_bisect(lambda s: g(math.exp(s)), math.log(a), math.log(rmin)))
-    r2 = _bisect(g, rmin, _power(1.0 / C1, 1.0 / (p - 2.0)))
-    return r1, r2
+        if not (a <= m <= b and h(m) <= 0.0):
+            return None
+        s1, s2 = _bisect(h, m, a), _bisect(h, m, b)
+    try:
+        return math.exp(s1), math.exp(s2)
+    except OverflowError:
+        raise ValueError(f"window bound e^{s2!r} lies beyond the float range") from None
 
 
 def mu_star(C1: float, p: float, q: float) -> float:
@@ -140,10 +117,14 @@ def mu_star(C1: float, p: float, q: float) -> float:
 
     The maximand r^(2-q)/C1 - r^(p-q) rises from 0 and falls to -inf, with
     its one critical point at r* = ((2-q) / (C1 (p-q)))^(1/(p-2)), where
-    it equals (p-2)/(p-q) r*^(2-q) / C1.
+    it equals (p-2)/(p-q) r*^(2-q) / C1.  At mu = mu* the minimum of
+    ``radius_window``'s h is 0, at m = log r*, and the window is {r*}.
     """
     _validate_window_params(C1, 0.0, p, q)
-    r_star = _power((2.0 - q) / (C1 * (p - q)), 1.0 / (p - 2.0))
+    try:
+        r_star = ((2.0 - q) / C1 / (p - q)) ** (1.0 / (p - 2.0))
+    except OverflowError:
+        r_star = math.inf
     star = (p - 2.0) / (p - q) * r_star ** (2.0 - q) / C1
     if star == math.inf:
         raise ValueError(f"mu_star lies beyond the float range at C1={C1}, p={p}, q={q}")
@@ -312,7 +293,7 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
             cert.positivity_min = float(np.min(vals))
             cert.monotonicity_defect = float(max(0.0, np.max(np.maximum.accumulate(vals) - vals)))
             cert.box_bound = cone_box_bound(u0)
-    except (DivergenceError, IterationLimitError, MPGError, MembershipError) as exc:
+    except (DivergenceError, MPGError, MembershipError) as exc:
         cert.error = f"solve: {exc}"
         if isinstance(exc, DivergenceError):
             trace = exc.trace
@@ -332,7 +313,7 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
         cert.strong_residual = strong_residual(spec, u0)
         cert.eq10_defect = equality10_defect(spec.operator, u0, v0)
         cert.duality_gap = duality_gap(spec.operator, u0, phi_grad(spec, u0))
-    except (IterationLimitError, MembershipError, ValueError) as exc:
+    except (IterationLimitError, ValueError) as exc:
         cert.error = f"step-ii: {exc}"
         return cert, SolverReport(trace, trace.reason)
 

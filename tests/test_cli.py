@@ -189,6 +189,20 @@ class TestSolveCommand:
             tmp_path / "a" / "profile.csv"
         ).read_text() == (tmp_path / "b" / "profile.csv").read_text()
 
+    def test_seed_flag_changes_only_the_seed(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(tmp_path / "a"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "b"), "--seed", "7"]) == 0
+        # certificate.json less its timestamp line, the seed line aside
+        ca, cb = (
+            [line for line in (tmp_path / d / "certificate.json").read_text().splitlines() if '"timestamp"' not in line]
+            for d in "ab"
+        )
+        assert '  "seed": 7,' in cb
+        assert [line.replace('"seed": 3,', '"seed": 7,') for line in ca] == cb
+        for name in ("trace.csv", "profile.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_2d_profile_header(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -374,9 +388,10 @@ def test_module_entry_point_runs():
 
 
 class TestHugeWindowsTerminate:
-    """Windows that reach past ~5e5, where the float spacing exceeds the
-    1e-10 bisection tolerance.  Each runs in a subprocess with a timeout,
-    so a loop that never ends fails the test instead of hanging it."""
+    """Windows that reach to 1e20, where the float spacing is far above
+    any absolute bisection tolerance.  Each runs in a subprocess with a
+    timeout, so a loop that never ends fails the test instead of hanging
+    it."""
 
     def run_cli(self, *args):
         return subprocess.run(

@@ -1,5 +1,5 @@
-"""Static hygiene: no module imports a name it never uses, and importing
-the package stays cheap."""
+"""Static hygiene: no module imports a name it never uses, no definition
+in the package goes unread, and importing the package stays cheap."""
 
 import ast
 import os
@@ -35,6 +35,75 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> list[str]:
+    """Top-level functions, classes and upper-case constants, and the
+    methods of those classes other than dunders."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                item.name
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def read_names(source: str) -> set[str]:
+    """Every name read, bare or as an attribute."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return reads
+
+
+def exported_names(source: str) -> set[str]:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def dead_names(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Definitions in the package's modules that no package module and no
+    reader reads and ``__all__`` does not list."""
+    read = set().union(*map(read_names, [*package.values(), *readers]))
+    read |= set().union(*map(exported_names, package.values()))
+    return [f"{module}: {name}" for module, src in package.items() for name in defined_names(src) if name not in read]
+
+
+def package_and_readers() -> tuple[dict[str, str], list[str]]:
+    # reads in tests do not count: a name only a test calls is dead code
+    package = {p.name: p.read_text() for p in sorted((ROOT / "src/hintcvx").glob("*.py"))}
+    readers = [p.read_text() for d in ("scripts", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    return package, readers
+
+
+def test_no_dead_names():
+    assert dead_names(*package_and_readers()) == []
+
+
+def test_dead_name_scan_finds_orphans():
+    package, readers = package_and_readers()
+    package["principle.py"] += (
+        "\n\nORPHAN_TOL = 1e-3\n\n\ndef _orphaned_helper(x):\n    return x\n\n\n"
+        "class Orphan:\n    def __init__(self):\n        self.x = ORPHAN_TOL\n\n    def unread(self):\n        return 0\n"
+    )
+    assert dead_names(package, readers) == [
+        "principle.py: _orphaned_helper",
+        "principle.py: Orphan",
+        "principle.py: unread",
+    ]
 
 
 def test_import_loads_no_heavy_scipy_module():

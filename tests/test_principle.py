@@ -6,9 +6,10 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 import hintcvx as hx
-from hintcvx import convex_sets, functionals
+from hintcvx import convex_sets, functionals, principle
 from hintcvx.principle import (
     VERDICT_CERTIFIED,
+    VERDICT_NOT_CRITICAL,
     VERDICT_STEP_II_FAILED,
     certified_at_amplitude,
     default_radius,
@@ -58,6 +59,16 @@ class TestRadiusWindow:
         rmin = (mu * (2 - q) / (p - 2)) ** (1 / (p - q))
         assert abs(r1 - brentq(g, 1e-12, rmin, xtol=1e-14)) <= 1e-9
         assert abs(r2 - brentq(g, rmin, 50.0, xtol=1e-14)) <= 1e-9
+        # r1 near (C1 mu)^(1/(2-q)), 1e-12 and 1e-20 in the last two cases,
+        # where a bisection once stopped at its bracket end instead
+        for C1, mu, p, q in ((C1, mu, p, q), (1.0, 1e-6, 4.0, 1.5), (1.0, 1e-4, 3.0, 1.8)):
+            r1, r2 = hx.radius_window(C1, mu, p, q)
+            g = window_defect(C1, mu, p, q)
+            rmin = (mu * (2 - q) / (p - 2)) ** (1 / (p - q))
+            lo = np.log(0.5 * (C1 * mu) ** (1 / (2 - q)))
+            s1 = brentq(lambda s: g(np.exp(s)) / np.exp(s), lo, np.log(rmin), xtol=1e-14)
+            assert abs(r1 - np.exp(s1)) <= 1e-9 * np.exp(s1)
+            assert abs(r2 - brentq(g, rmin, 50.0, xtol=1e-14)) <= 1e-9
 
     def test_empty_above_mu_star(self):
         star = hx.mu_star(1.0, 3.0, 1.5)
@@ -73,6 +84,9 @@ class TestRadiusWindow:
             hx.radius_window(1e-300, 0.0, 2.0001, 1.5)
         with pytest.raises(ValueError, match="float range"):
             hx.mu_star(1e-300, 3.0, 1.5)
+        # C1 (p - q) underflows to 0 here
+        with pytest.raises(ValueError, match="float range"):
+            hx.mu_star(5e-324, 2.2, 1.8)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -315,6 +329,28 @@ class TestRunProblem:
         assert cert.u0 is None
         assert report.iterations == 0
 
+    def test_vi_residual_above_tol_is_not_critical(self):
+        cert, report = run_problem(_certified_spec("concave-convex"), hx.SolverConfig(max_iters=1))
+        assert report.reason == "max_iters"
+        assert cert.verdict == VERDICT_NOT_CRITICAL
+        assert cert.detail.startswith("vi residual")
+
+    def test_strong_residual_above_tol_is_not_critical(self, monkeypatch):
+        monkeypatch.setattr(principle, "DEFAULT_TOL_STRONG", 0.0)
+        cert, _ = run_problem(_certified_spec("neumann-radial"))
+        assert cert.verdict == VERDICT_NOT_CRITICAL
+        assert cert.detail.startswith("strong residual")
+
+    def test_stage_ii_error_is_captured(self, monkeypatch):
+        def fail(op, rhs):
+            raise hx.IterationLimitError("linear solve failed its residual contract", residual=1.0)
+
+        monkeypatch.setattr(principle, "linear_solve", fail)
+        cert, report = run_problem(_certified_spec("concave-convex"))
+        assert cert.error == "step-ii: linear solve failed its residual contract"
+        assert cert.verdict == VERDICT_NOT_CRITICAL and cert.v0 is None
+        assert report.reason == "vi_residual" and report.iterations > 1
+
     def test_interior_criticality_equivalence(self):
         # at the converged interior point, vi residual and strong residual
         # vanish together; off criticality both are large
@@ -477,3 +513,20 @@ class TestWindowCorrectnessSweep:
             assert g(r2 * 1.01) > 0.0
             if r1 > 0.0:
                 assert g(r1 * 0.99) > 0.0
+
+    def test_endpoints_are_roots_inside_the_window(self):
+        # r1 once stopped at 2.29e-3 and 1.21e-4 in the first two cases,
+        # and outside the window at g/r = +8.5e-14 in the third
+        cases = [(1.0, 1e-6, 4.0, 1.5), (1.0, 1e-4, 3.0, 1.8), (1.0, 0.1, 3.0, 1.5)]
+        rng = np.random.default_rng(2017)
+        for _ in range(2000):
+            p = rng.uniform(2.2, 6.0)
+            q = rng.uniform(1.1, 1.9)
+            cases.append((1.0, 10 ** rng.uniform(-3.0, 0.0) * hx.mu_star(1.0, p, q), p, q))
+        for C1, mu, p, q in cases:
+            g = window_defect(C1, mu, p, q)
+            for r in hx.radius_window(C1, mu, p, q):
+                # a root of g/r, inside the window up to the rounding of g
+                assert r > 0.0
+                assert abs(g(r) / r) <= 1e-8
+                assert g(r) / r <= 1e-14

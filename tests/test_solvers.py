@@ -173,6 +173,32 @@ class TestProjectedGradient:
         with pytest.raises(hx.DivergenceError):
             hx.projected_gradient_minimize(nr_spec, K, huge, hx.SolverConfig())
 
+    def test_h2_fallback_direction_accepted(self, monkeypatch):
+        # on this binding ball the Psi-form direction fails its line search
+        # at some iterates, and the H^2 Riesz direction takes the step
+        accepted = []
+        backtrack = solvers._backtrack
+
+        def recorded(spec, K, u, directions, accept, retract):
+            pulled = []
+
+            def numbered():
+                for i, d in enumerate(directions):
+                    pulled.append(i)
+                    yield d
+
+            found = backtrack(spec, K, u, numbered(), accept, retract)
+            if found is not None:
+                accepted.append(pulled[-1])
+            return found
+
+        monkeypatch.setattr(solvers, "_backtrack", recorded)
+        g = hx.RadialGrid(n=201, dim=1)
+        f = hx.GridFunction(g, 5.0 * np.sin(np.pi * g.nodes), hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="nonhomogeneous", grid=g, p=3.0, f=f, r=3.0)
+        hx.run_problem(spec)
+        assert 1 in accepted
+
 
 class TestMountainPass:
     def test_constant_is_stationary_for_flat_weight(self, grid3d):
@@ -213,6 +239,10 @@ class TestMountainPass:
         K = hx.MonotoneCone(grid3d, spec.weights)
         with pytest.raises(hx.DivergenceError, match="float range"):
             hx.mountain_pass(spec, K, hx.SolverConfig())
+        cert, report = hx.run_problem(spec)
+        assert cert.error.startswith("solve: ") and "float range" in cert.error
+        assert cert.verdict == "not-critical" and cert.u0 is None
+        assert report.reason == "error" and report.iterations == 0
 
     def test_wrong_family_rejected(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)
@@ -273,6 +303,12 @@ class TestTermination:
     def test_huge_step_tolerance_stops_on_step(self, run):
         _, _, trace = run(hx.SolverConfig(tol_step=1e3))
         assert trace.reason == "step"
+
+    def test_no_acceptable_trial_stalls_the_line_search(self, run, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
+        _, _, trace = run(hx.SolverConfig())
+        assert trace.reason == "line-search-stalled"
+        assert len(trace) == 1
 
 
 class TestIterTrace:
