@@ -33,22 +33,27 @@ def main():
         spec = hx.ProblemSpec(family="concave-convex", grid=grid, p=args.p, q=args.q,
                               mu=mu, C1=args.C1)
         cert, report = run_problem(spec)
-        window = cert.window
+        # above mu_star the window is empty and no run is made
+        r1, r2 = cert.window or (None, None)
         rows.append({
             "mu_fraction": frac,
             "mu": mu,
             "r": cert.problem["r"],
-            "window_r1": window[0],
-            "window_r2": window[1],
+            "window_r1": r1,
+            "window_r2": r2,
             "verdict": cert.verdict,
+            "detail": cert.detail,
             "energy": cert.energy,
             "vi_residual": cert.vi_residual,
             "strong_residual": cert.strong_residual,
             "u0_h2": cert.u0_h2_norm,
             "iterations": report.iterations,
         })
-        print(f"  mu = {frac:.2f} mu*: {cert.verdict}, I = {cert.energy:+.3e}, "
-              f"r = {cert.problem['r']:.4f}, iters = {report.iterations}")
+        if cert.window is None:
+            print(f"  mu = {frac:.2f} mu*: {cert.verdict} ({cert.detail})")
+        else:
+            print(f"  mu = {frac:.2f} mu*: {cert.verdict}, I = {cert.energy:+.3e}, "
+                  f"r = {cert.problem['r']:.4f}, iters = {report.iterations}")
 
     with open(out / "sweep.json", "w") as fh:
         json.dump(rows, fh, indent=2)

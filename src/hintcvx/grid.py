@@ -288,11 +288,14 @@ class EllipticOperator:
                 h2 = self.grid.h**2
                 return sine_solver(self.grid, lambda lam: h2 + lam + lam * lam / h2)
             return sine_solver(self.grid, lambda lam: lam)
+        # a radial grid pins only its end nodes, so its active nodes form
+        # one contiguous run and the active block is a slice
         idx = np.flatnonzero(self.active)
-        F = self.form[np.ix_(idx, idx)]
+        act = slice(idx[0], idx[-1] + 1)
+        F = self.form[act, act]
         if gram:
-            w = self.weights[idx]
-            F = sp.diags(w) + self.stiffness[np.ix_(idx, idx)] + F @ sp.diags(1.0 / w) @ F
+            w = self.weights[act]
+            F = sp.diags(w) + self.stiffness[act, act] + F @ sp.diags(1.0 / w) @ F
         return spla.factorized(F.tocsc())
 
     @cached_property
@@ -346,11 +349,6 @@ def _read_only(*arrays) -> None:
         arr.flags.writeable = False
 
 
-def _mask_matrix(S: sp.spmatrix, active: np.ndarray) -> sp.csr_matrix:
-    z = sp.diags(active.astype(float))
-    return (z @ S @ z).tocsr()
-
-
 def build_radial_laplacian(grid: RadialGrid, bc: str, kind: str = NEG_LAPLACIAN) -> EllipticOperator:
     """Assemble the radial operator -u'' - (dim-1)/r u' (plus identity for
     the ``neg-laplacian-plus-identity`` kind).
@@ -366,19 +364,19 @@ def build_radial_laplacian(grid: RadialGrid, bc: str, kind: str = NEG_LAPLACIAN)
     mid = (np.arange(n - 1) + 0.5) * h
     c = omega * mid ** (grid.dim - 1) / h
 
-    rows = np.concatenate([np.arange(n - 1), np.arange(1, n), np.arange(n - 1), np.arange(1, n)])
-    cols = np.concatenate([np.arange(n - 1), np.arange(1, n), np.arange(1, n), np.arange(n - 1)])
-    vals = np.concatenate([c, c, -c, -c])
-    S = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
     active = np.ones(n, dtype=bool)
     active[grid.boundary_indices(bc)] = False
+    # node i gets c_(i-1) + c_i on the diagonal and -c_i towards node i+1;
+    # Dirichlet rows and columns are zero
+    diag = np.where(active, np.append(c, 0.0) + np.insert(c, 0, 0.0), 0.0)
+    off = np.where(active[:-1] & active[1:], -c, 0.0)
+    S = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
     return EllipticOperator(
         kind=kind,
         grid=grid,
         bc=bc,
         weights=quadrature_weights(grid),
-        stiffness=_mask_matrix(S, active),
+        stiffness=S,
         active=active,
         edge_coeffs=c,
     )

@@ -90,7 +90,6 @@ class MPGError(ValueError):
 class SolverConfig:
     max_iters: int = 500
     tol_residual: float = 1e-10
-    tol_step: float = 1e-13
     # a label echoed into the certificate; the pipeline is deterministic,
     # so the seed drives nothing
     seed: int = 0
@@ -98,9 +97,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise FieldError("max_iters", "max_iters must be at least 1")
-        for name in ("tol_residual", "tol_step"):
-            if not getattr(self, name) > 0.0:
-                raise FieldError(name, f"{name} must be positive")
+        if not self.tol_residual > 0.0:
+            raise FieldError("tol_residual", "tol_residual must be positive")
 
 
 @dataclass
@@ -171,12 +169,6 @@ def linear_solve(op: EllipticOperator, rhs: GridFunction) -> GridFunction:
     return GridFunction(op.grid, v, op.bc)
 
 
-def _metric_step_norm(spec: ProblemSpec, K: ConvexSet, diff: np.ndarray) -> float:
-    if isinstance(K, H2Ball):
-        return K.geometry.h2_norm(diff)
-    return float(np.sqrt(weighted_inner(spec.weights, diff, diff)))
-
-
 def _descent_directions(spec: ProblemSpec, K: ConvexSet, g: np.ndarray):
     """Fast Psi-form Riesz direction, then the projection-metric fallback."""
     yield spec.operator.solve_form(g)
@@ -212,10 +204,12 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
     below ``tol_residual``, when ``step(u, value, rho)`` finds no
     acceptable point (it returns ``(cand, cand_value, tau, cand_rho)`` or
     None; rho is the VI residual at u, cand_rho the one at cand if the step
-    computed it, else None), when the metric step drops below
-    ``tol_step``, or at ``max_iters``.  The last two leave the last
-    accepted point without a row, so it gets a final one.  The last row
-    always holds the returned point's energy and VI residual.
+    computed it, else None), on ``step`` when the accepted trial left the
+    point unchanged (its values equal the iterate's: a fixed point of the
+    step rule, where no later step can move), or at ``max_iters``.  The
+    last two end on an accepted trial without a row, so it gets a final
+    one.  The last row always holds the returned point's energy and VI
+    residual.
     """
     trace = IterTrace()
     step_prev = float("nan")
@@ -232,11 +226,10 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
             trace.reason = "line-search-stalled"
             return u, trace
         cand, value, step_prev, rho = result
-        step_norm = _metric_step_norm(spec, K, cand.values - u.values)
-        u = cand
-        if step_norm <= cfg.tol_step:
+        if np.array_equal(cand.values, u.values):
             reason = "step"
             break
+        u = cand
     else:
         reason = "max_iters"
     if rho is None:
@@ -256,7 +249,8 @@ def projected_gradient_minimize(
 
     Iterates u_{k+1} = P_K(u_k - tau_k d_k) stay feasible and monotonically
     decrease the energy; the run stops when the VI residual drops below
-    ``tol_residual``, the step below ``tol_step``, or at ``max_iters``.
+    ``tol_residual``, on ``step`` when the accepted trial left the point
+    unchanged, or at ``max_iters``.
     """
     if not contains(K, u_init, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("projected gradient must start inside the constraint set")

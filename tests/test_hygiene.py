@@ -1,13 +1,18 @@
 """Static hygiene: no module imports a name it never uses, no definition
-in the package goes unread, and importing the package stays cheap."""
+in the package goes unread, importing the package stays cheap, and the
+README names every solver key."""
 
 import ast
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hintcvx.solvers import SolverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -131,3 +136,11 @@ def test_one_module_holds_the_linear_algebra():
     users = sorted(name for name, src in sources.items() if "scipy.sparse.linalg" in imported_modules(src))
     assert users == ["grid.py"]
     assert not any(m.startswith("scipy.sparse") for m in imported_modules(sources["functionals.py"]))
+
+
+def test_readme_lists_the_solver_keys():
+    # the config schema takes exactly the SolverConfig fields, so a knob
+    # added or removed there must be added or removed in the README too
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("Solver keys mirror `SolverConfig`:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == [f.name for f in dataclasses.fields(SolverConfig)]

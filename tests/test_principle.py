@@ -389,6 +389,35 @@ class TestRunProblem:
         assert doc["problem"]["family"] == "concave-convex"
 
 
+class TestRefinement:
+    """The discretisation is second order: on nested grids each halving of
+    h shrinks the change in a certified value about fourfold."""
+
+    @staticmethod
+    def concave_convex_energy(n, dim):
+        mu = 0.5 * hx.mu_star(1.0, 3.0, 1.5)
+        spec = hx.ProblemSpec(family="concave-convex", grid=hx.RadialGrid(n=n, dim=dim), p=3.0, q=1.5, mu=mu)
+        cert, _ = run_problem(spec)
+        assert cert.verdict == VERDICT_CERTIFIED
+        return cert.energy
+
+    @staticmethod
+    def neumann_radial_value(n, dim):
+        g = hx.RadialGrid(n=n, dim=dim)
+        a = hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)
+        cert, _ = run_problem(hx.ProblemSpec(family="neumann-radial", grid=g, p=4.0, a=a))
+        assert cert.verdict == VERDICT_CERTIFIED
+        return cert.mountain_pass_value
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("value", ["concave_convex_energy", "neumann_radial_value"])
+    def test_successive_changes_shrink_fourfold(self, value, dim):
+        values = [getattr(self, value)(n, dim) for n in (101, 201, 401, 801)]
+        changes = np.diff(values)
+        ratios = changes[:-1] / changes[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
 class TestCertificationSoundness:
     @staticmethod
     def dense_radial_operator(n, dim, dirichlet, plus_identity):

@@ -27,10 +27,14 @@ def run_script(name, *args):
 
 
 def test_run_concave_convex(tmp_path):
-    run_script("run_concave_convex.py", "--n", 41, "--fractions", 0.25, 0.5, "--out", tmp_path)
+    run_script("run_concave_convex.py", "--n", 41, "--fractions", 0.25, 0.5, 1.2, "--out", tmp_path)
     rows = json.loads((tmp_path / "sweep.json").read_text())
-    assert [row["mu_fraction"] for row in rows] == [0.25, 0.5]
-    assert all(row["verdict"] == "certified" and row["iterations"] > 0 for row in rows)
+    assert [row["mu_fraction"] for row in rows] == [0.25, 0.5, 1.2]
+    assert all(row["verdict"] == "certified" and row["iterations"] > 0 for row in rows[:2])
+    # above mu_star the window is empty: the row says so instead of crashing
+    above = rows[2]
+    assert above["window_r1"] is None and above["window_r2"] is None
+    assert above["verdict"] != "certified" and "empty radius window" in above["detail"]
 
 
 def test_run_neumann_radial(tmp_path):

@@ -300,15 +300,47 @@ class TestTermination:
         assert trace.rows[-1][0] == 1
         assert trace.rows[-1][1] == hx.energy(spec, u).total
 
-    def test_huge_step_tolerance_stops_on_step(self, run):
-        _, _, trace = run(hx.SolverConfig(tol_step=1e3))
-        assert trace.reason == "step"
-
     def test_no_acceptable_trial_stalls_the_line_search(self, run, monkeypatch):
         monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
         _, _, trace = run(hx.SolverConfig())
         assert trace.reason == "line-search-stalled"
         assert len(trace) == 1
+
+
+def _nonhomogeneous(dim, amp, r):
+    g = hx.RadialGrid(n=201, dim=dim)
+    f = hx.GridFunction(g, amp * np.sin(np.pi * g.nodes), hx.NEUMANN_ZERO)
+    return hx.ProblemSpec(family="nonhomogeneous", grid=g, p=3.0, f=f, r=r)
+
+
+class TestStepStop:
+    """Stage i stops ``step`` only on a null step, one whose accepted trial
+    equals the iterate; short steps that still move go on to the VI test."""
+
+    def test_null_step_stops_on_step(self):
+        # projected gradient on a binding ball reaches a fixed point of its
+        # step rule: Armijo admits the unchanged point, whose predicted
+        # decrease is zero
+        _, report = hx.run_problem(_nonhomogeneous(1, 5.0, 3.0))
+        rows = report.trace.rows
+        assert report.reason == "step"
+        assert len(rows) == 14
+        assert rows[-1][1] == rows[-2][1]
+        assert rows[-1][4] == rows[-2][4]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_short_ball_steps_reach_the_vi_tolerance(self, dim):
+        _, report = hx.run_problem(_nonhomogeneous(dim, 0.5, 0.01))
+        assert report.reason == "vi_residual"
+        assert report.trace.rows[-1][2] <= 1e-10
+
+    def test_short_ridge_steps_reach_the_vi_tolerance(self):
+        g = hx.RadialGrid(n=801, dim=3)
+        a = hx.GridFunction(g, 1.0 + 0.75 * g.nodes, hx.NEUMANN_ZERO)
+        cert, report = hx.run_problem(hx.ProblemSpec(family="neumann-radial", grid=g, p=4.0, a=a))
+        assert report.reason == "vi_residual"
+        assert report.trace.rows[-1][2] <= 1e-10
+        assert cert.mountain_pass_value == pytest.approx(0.6696071385975798, rel=1e-10)
 
 
 class TestIterTrace:
