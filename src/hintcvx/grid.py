@@ -192,21 +192,27 @@ def write_node_csv(path, grid: Grid, columns: dict) -> None:
     grids, ``x,y`` on the square), then the named value columns.  Cells are
     plain ``repr(float)`` numbers; a column given as ``None`` is left empty."""
     if isinstance(grid, RadialGrid):
-        cols = {"coord": grid.nodes}
+        header = ["coord"]
+        cells = [_repr_cells(grid.nodes)]
     else:
-        xs, ys = grid.nodes
-        cols = {"x": xs, "y": ys}
-    cols.update(columns)
-    # a list's repr formats every float with repr(float) in one C call; the
-    # numbers need no quoting, so rows are joined by hand with csv.writer's
-    # "\r\n" terminator
-    cells = [
-        [""] * grid.size if c is None else repr(np.asarray(c, dtype=float).tolist())[1:-1].split(", ")
-        for c in cols.values()
-    ]
+        # node k = j m + i sits at (x_i, y_j), so both coordinate columns
+        # are made of the m axis cells: x cycles through them, y repeats
+        # each one m times
+        m = grid.m
+        axis = _repr_cells(grid.nodes[0][:m])
+        header = ["x", "y"]
+        cells = [axis * m, [c for c in axis for _ in range(m)]]
+    cells += [[""] * grid.size if c is None else _repr_cells(c) for c in columns.values()]
+    # the numbers need no quoting, so rows are joined by hand with
+    # csv.writer's "\r\n" terminator
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(cols)
+        csv.writer(fh).writerow(header + list(columns))
         fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _repr_cells(values) -> list[str]:
+    # a list's repr formats every float with repr(float) in one C call
+    return repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
 
 
 def quadrature_weights(grid: Grid) -> np.ndarray:
@@ -410,11 +416,15 @@ def sine_solver(grid: Square2DGrid, f):
 
 def build_2d_laplacian(grid: Square2DGrid) -> EllipticOperator:
     """Standard 5-point negative Laplacian on the unit square, zero Dirichlet."""
-    m = grid.m
-    T = sp.diags([-np.ones(m - 1), 2 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
-    eye = sp.identity(m)
-    S = (sp.kron(eye, T) + sp.kron(T, eye)).tocsr()  # stiffness = h^2 * (5-point / h^2)
-    active = np.ones(grid.size, dtype=bool)
+    m, n = grid.m, grid.size
+    # stiffness = h^2 * (5-point / h^2) on its five bands; node k = j m + i
+    # has no x-neighbour across a row end, where the +-1 bands are zero
+    side = -np.ones(n - 1)
+    side[m - 1 :: m] = 0.0
+    far = -np.ones(n - m)
+    S = sp.diags([far, side, np.full(n, 4.0), side, far], [-m, -1, 0, 1, m], format="csr")
+    S.eliminate_zeros()
+    active = np.ones(n, dtype=bool)
     return EllipticOperator(
         kind=NEG_LAPLACIAN,
         grid=grid,

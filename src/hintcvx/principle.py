@@ -187,10 +187,12 @@ def step_ii_verify(spec: ProblemSpec, K: ConvexSet, u0: GridFunction) -> tuple[G
     u0_h2 = spec.geometry.norm(u0)
     in_k = contains(K, v0, DEFAULT_MEMBERSHIP_TOL)
     v0_h2 = spec.geometry.norm(v0)
-    chain = spec.C1 * (u0_h2 ** (spec.p - 1.0))
+    # a float power raises OverflowError at large p; the bound saturates to inf
+    with np.errstate(over="ignore"):
+        chain = spec.C1 * (np.float64(u0_h2) ** (spec.p - 1.0))
     if spec.q is not None and spec.mu > 0.0:
         chain += spec.C1 * spec.mu * u0_h2 ** (spec.q - 1.0)
-    diag = {"u0_h2": u0_h2, "v0_h2": v0_h2, "chain_bound": chain}
+    diag = {"u0_h2": u0_h2, "v0_h2": v0_h2, "chain_bound": float(chain)}
     return v0, in_k, diag
 
 

@@ -33,6 +33,14 @@ class TestGrids:
         with pytest.raises(ValueError):
             hx.Square2DGrid(m=1)
 
+    @pytest.mark.parametrize("m", [2, 3, 17, 64])
+    def test_square_nodes_tile_the_axis(self, m):
+        # write_node_csv builds the x and y columns from the m axis values
+        xs, ys = hx.Square2DGrid(m=m).nodes
+        axis = xs[:m]
+        assert xs.tobytes() == np.tile(axis, m).tobytes()
+        assert ys.tobytes() == np.repeat(axis, m).tobytes()
+
 
 class TestGridFunction:
     def test_length_mismatch_rejected(self, grid1d):
@@ -77,7 +85,9 @@ class TestGridFunction:
                 float(cell)
 
     @pytest.mark.parametrize(
-        "grid", [hx.RadialGrid(n=8), hx.Square2DGrid(m=3)], ids=["radial", "square"]
+        "grid",
+        [hx.RadialGrid(n=8)] + [hx.Square2DGrid(m=m) for m in (2, 3, 17, 64)],
+        ids=["radial", "square-2", "square-3", "square-17", "square-64"],
     )
     def test_node_csv_bytes_match_csv_writer(self, tmp_path, grid):
         specials = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, -1.5, 0.1]
@@ -229,6 +239,20 @@ class Test2DLaplacian:
             dtype=float,
         )
         np.testing.assert_allclose(A, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 17, 64])
+    def test_banded_stiffness_matches_kron_assembly(self, m):
+        T = sp.diags([-np.ones(m - 1), 2 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+        eye = sp.identity(m)
+        ref = (sp.kron(eye, T) + sp.kron(T, eye)).tocsr()
+        S = hx.build_2d_laplacian(hx.Square2DGrid(m=m)).stiffness
+        assert (S != ref).nnz == 0
+        if m >= 6:  # below that, kron also stores explicit zeros
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(S, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert np.all(S.data != 0.0)
 
     def test_weighted_symmetry_and_pd(self, grid2d):
         op = hx.build_2d_laplacian(grid2d)

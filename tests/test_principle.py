@@ -168,6 +168,16 @@ class TestStepII:
         expected = spec.C1 * (u0_h2**3.0 + spec.mu * u0_h2**0.5)
         assert diag["chain_bound"] == pytest.approx(expected)
 
+    def test_regularity_chain_saturates_at_large_p(self):
+        # u0_h2^(p-1) leaves the float range at p = 500; a float power
+        # would raise OverflowError out of run_problem
+        g = hx.RadialGrid(n=41, dim=3)
+        a = hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=500.0, a=a)
+        cert, _ = run_problem(spec)
+        assert cert.error is None
+        assert cert.v0_in_K is not None
+
 
 class TestRunProblem:
     def test_trivial_certified_at_zero(self, grid1d):
