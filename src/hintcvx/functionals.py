@@ -257,6 +257,28 @@ def phi_grad(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     return GridFunction(spec.grid, out, u.bc)
 
 
+def phi_hess(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
+    """Node-wise second derivative Phi''(u), the diagonal of the Hessian of
+    Phi in the weighted pairing.
+
+    It is zero at Dirichlet boundary nodes and at nodes where u vanishes:
+    there the sublinear term's |u|^(q-2) is infinite, and the superlinear
+    one's is zero.  An overflow comes back as a non-finite entry.
+    """
+    _check_grid(spec, u)
+    v = np.abs(u.values)
+    nz = v != 0.0
+    out = np.zeros_like(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[nz] = (spec.p - 1.0) * v[nz] ** (spec.p - 2.0)
+        if spec.family == CONCAVE_CONVEX and spec.mu > 0.0:
+            out[nz] += spec.mu * (spec.q - 1.0) * v[nz] ** (spec.q - 2.0)
+        if spec.family == NEUMANN_RADIAL:
+            out *= spec.a.values
+    out[spec.grid.boundary_indices(spec.bc)] = 0.0
+    return out
+
+
 def energy_grad(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     """Values of I'(u) = Psi'(u) - Phi'(u) in the weighted pairing, which is
     also the residual A u - Phi'(u) of the strong equation.

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -285,6 +286,13 @@ class EllipticOperator:
     def is_positive_definite(self) -> bool:
         return self.kind == NEG_LAPLACIAN_PLUS_ID or self.bc == DIRICHLET_ZERO
 
+    @cached_property
+    def _active_block(self) -> slice:
+        # a radial grid pins only its end nodes, so its active nodes form
+        # one contiguous run and the active block is a slice
+        idx = np.flatnonzero(self.active)
+        return slice(idx[0], idx[-1] + 1)
+
     def _solver(self, gram: bool):
         """The operator's one solve backend on active nodes, of the form F or
         with ``gram`` of the H^2 Gram matrix W + S + F W^-1 F: the sine basis
@@ -294,10 +302,7 @@ class EllipticOperator:
                 h2 = self.grid.h**2
                 return sine_solver(self.grid, lambda lam: h2 + lam + lam * lam / h2)
             return sine_solver(self.grid, lambda lam: lam)
-        # a radial grid pins only its end nodes, so its active nodes form
-        # one contiguous run and the active block is a slice
-        idx = np.flatnonzero(self.active)
-        act = slice(idx[0], idx[-1] + 1)
+        act = self._active_block
         F = self.form[act, act]
         if gram:
             w = self.weights[act]
@@ -347,6 +352,42 @@ class EllipticOperator:
         x = np.zeros(self.grid.size)
         idx = self.active
         x[idx] = self.form_solver((self.weights * rhs_values)[idx])
+        return x
+
+    @cached_property
+    def _form_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The radial form's active block on its three bands: sub-, main
+        and super-diagonal."""
+        F = self.form[self._active_block, self._active_block]
+        # gtsv takes max(n - 1, 1) entries off the diagonal, so a single
+        # active node gets one unused zero on each side
+        n_off = F.shape[0] - 1
+        lower, upper = np.zeros(max(n_off, 1)), np.zeros(max(n_off, 1))
+        lower[:n_off], upper[:n_off] = F.diagonal(-1), F.diagonal(1)
+        bands = (lower, F.diagonal(), upper)
+        _read_only(*bands)
+        return bands
+
+    def solve_shifted(self, shift: np.ndarray, rhs_values: np.ndarray) -> np.ndarray:
+        """Solve (A - diag(shift)) x = rhs in the weighted pairing, i.e.
+        (form - W diag(shift)) x = W rhs, on a radial grid's active nodes.
+
+        The matrix is tridiagonal, and possibly indefinite, so this is one
+        O(n) LAPACK ``gtsv`` solve (Gaussian elimination with partial
+        pivoting) with no factor kept; it is ``scipy.linalg.solve_banded``'s
+        own path for one band each side, called without that wrapper's
+        argument checks, which cost more than the solve at n = 201.
+        Inactive entries of shift and rhs are ignored.  A singular matrix
+        raises ``numpy.linalg.LinAlgError``."""
+        act = self._active_block
+        lower, diag, upper = self._form_bands
+        *_, x_act, info = sla.lapack.dgtsv(
+            lower, diag - (self.weights * shift)[act], upper, (self.weights * rhs_values)[act]
+        )
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        x = np.zeros(self.grid.size)
+        x[act] = x_act
         return x
 
 

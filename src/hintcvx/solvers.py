@@ -1,9 +1,11 @@
 """Optimization drivers: the stage-ii linear solve, and one stage-i loop
-(``_descend``: trace, termination tests, reason) run with two step rules.
-Every solve with A, in either stage, uses the solver cached on the
-operator (``EllipticOperator.form_solver``).  It and the H^2 Gram solve of
-the fallback direction come from the operator's one backend: a sparse LU
-factor on radial grids, sine-basis diagonalisation on the square.
+(``_descend``: trace, termination tests, reason) run with two step rules
+and a Newton finish.  Every solve with A, in either stage, uses the solver
+cached on the operator (``EllipticOperator.form_solver``).  It and the H^2
+Gram solve of the fallback direction come from the operator's one backend:
+a sparse LU factor on radial grids, sine-basis diagonalisation on the
+square.  The Newton system is tridiagonal on radial grids and solved there
+by the same backend module (``EllipticOperator.solve_shifted``).
 
 Descent directions are Riesz representatives of the energy gradient in the
 quadratic-form inner product of Psi (one solve with A per step),
@@ -20,6 +22,12 @@ accepts a trial point:
   maximum: each trial point is projected onto the cone and rescaled to the
   maximum of the energy along its ray.  The trial is accepted when that
   ridge merit falls, or when the VI residual halves.
+
+On radial grids both rules hand over to guarded Newton steps
+(``_newton_step``) once the VI residual is at or below
+``NEWTON_HANDOVER``; the first rejected Newton trial returns the run to
+the step rule for good.  The square takes no Newton step: a sparse LU of
+its Jacobian costs more than a whole run there.
 """
 
 from __future__ import annotations
@@ -47,10 +55,11 @@ from .functionals import (
     ProblemSpec,
     energy,
     energy_grad,
+    phi_hess,
     phi_value,
     psi_value,
 )
-from .grid import EllipticOperator, GridFunction, weighted_inner
+from .grid import EllipticOperator, GridFunction, RadialGrid, weighted_inner
 
 logger = logging.getLogger("hintcvx.solvers")
 
@@ -61,6 +70,9 @@ STEP0 = 1.0
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 60
+# VI residual at or below which stage i on a radial grid first tries a
+# Newton step (``_newton_step``)
+NEWTON_HANDOVER = 1e-2
 # Stage-ii contract ||A v - b||_w <= LINEAR_SOLVE_RTOL ||b||_w + floor, where
 # floor bounds the rounding of evaluating A v - b itself (_residual_floor).
 LINEAR_SOLVE_RTOL = 1e-9
@@ -197,7 +209,42 @@ def _backtrack(spec: ProblemSpec, K: ConvexSet, u: GridFunction, directions, acc
     return None
 
 
-def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg: SolverConfig, step):
+def _energy_floor(value: float) -> float:
+    # the quadratic-form rounding floor of an energy near value
+    return 1e-13 * (1.0 + abs(value))
+
+
+def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, rho: float, monotone: bool):
+    """Guarded Newton trial u - delta, with J delta = W g for the weighted
+    gradient g and the Jacobian J = form - W diag(Phi''(u)), tridiagonal on
+    radial grids (Neuberger & Swift, Int. J. Bifur. Chaos 11 (2001); Choi &
+    McKenna, Nonlinear Anal. 20 (1993)).
+
+    Returns ``(cand, I(cand), 1.0, rho(cand))`` when the trial lies in K,
+    its energy is finite, its VI residual is below rho and, with
+    ``monotone``, its energy exceeds value by no more than the rounding
+    floor; else None.
+    """
+    try:
+        delta = spec.operator.solve_shifted(phi_hess(spec, u), energy_grad(spec, u))
+    except np.linalg.LinAlgError:  # J is singular
+        return None
+    trial = u.values - delta
+    if not np.isfinite(trial).all():  # an overflow in Phi'' or in the solve
+        return None
+    cand = u.with_values(trial)
+    if not contains(K, cand, DEFAULT_MEMBERSHIP_TOL):
+        return None
+    cand_value = energy(spec, cand).total
+    if not np.isfinite(cand_value) or (monotone and cand_value > value + _energy_floor(value)):
+        return None
+    cand_rho = vi_residual(spec, K, cand)
+    return (cand, cand_value, 1.0, cand_rho) if cand_rho < rho else None
+
+
+def _descend(
+    spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg: SolverConfig, step, monotone: bool
+):
     """Stage-i loop shared by both drivers.
 
     Records one trace row per iterate and stops when the VI residual drops
@@ -210,10 +257,17 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
     last two end on an accepted trial without a row, so it gets a final
     one.  The last row always holds the returned point's energy and VI
     residual.
+
+    On a radial grid, once rho is at or below ``NEWTON_HANDOVER``, each
+    iteration first tries ``_newton_step`` (``monotone``: the energy may
+    not rise, as the minimising driver asks) and takes ``step`` only when
+    the trial is rejected; after the first rejection the run makes no
+    further Newton attempt.  A Newton row records step 1.0.
     """
     trace = IterTrace()
     step_prev = float("nan")
     rho = None
+    newton = isinstance(spec.grid, RadialGrid)
     for k in range(cfg.max_iters):
         if rho is None:
             rho = vi_residual(spec, K, u)
@@ -221,7 +275,12 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
         if rho <= cfg.tol_residual:
             trace.reason = "vi_residual"
             return u, trace
-        result = step(u, value, rho)
+        result = None
+        if newton and rho <= NEWTON_HANDOVER:
+            result = _newton_step(spec, K, u, value, rho, monotone)
+            newton = result is not None
+        if result is None:
+            result = step(u, value, rho)
         if result is None:
             trace.reason = "line-search-stalled"
             return u, trace
@@ -271,7 +330,7 @@ def projected_gradient_minimize(
         found = _backtrack(spec, K, u, _descent_directions(spec, K, g), sufficient_decrease, lambda v: v)
         return None if found is None else (*found, None)
 
-    u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)
+    u, trace = _descend(spec, K, u_init, value, cfg, armijo_step, monotone=True)
     logger.info("projected gradient terminated (%s) after %d rows", trace.reason, len(trace))
     return u, trace
 
@@ -330,7 +389,7 @@ def mountain_pass(
         # failing that a halved VI residual (near the saddle the merit gap
         # scales like distance^2 and falls under float resolution, while the
         # residual the loop stops on keeps contracting)
-        merit_floor = 1e-13 * (1.0 + abs(value))
+        merit_floor = _energy_floor(value)
         cand_rho = None  # VI residual of the last trial, if the test computed it
 
         def merit_or_residual_falls(cand, cand_value):
@@ -345,7 +404,7 @@ def mountain_pass(
         found = _backtrack(spec, K, u, (direction,), merit_or_residual_falls, partial(ray_rescale, spec))
         return None if found is None else (*found, cand_rho)
 
-    u, trace = _descend(spec, K, u, value, cfg, ridge_step)
+    u, trace = _descend(spec, K, u, value, cfg, ridge_step, monotone=False)
     c = trace.rows[-1][1]
     logger.info("mountain pass terminated (%s), c = %.6e", trace.reason, c)
     return u, trace, c

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.functionals import DegenerateInputError, FieldError
+from hintcvx.functionals import DegenerateInputError, FieldError, phi_hess
 from hintcvx.grid import NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID, weighted_inner
 from hintcvx.principle import mu_star, run_problem
 
@@ -208,6 +208,44 @@ class TestPhi:
             fd_psi = (hx.psi_value(spec, up) - hx.psi_value(spec, dn)) / (2 * eps)
             inner_psi = weighted_inner(spec.weights, hx.psi_grad(spec, u).values, h.values)
             assert abs(fd_psi - inner_psi) <= 1e-6 * max(1.0, abs(inner_psi))
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hessian_matches_finite_differences(self, seed, grid1d, grid3d):
+        # Phi's Hessian is diagonal: along h, phi_grad moves by phi_hess * h
+        eps = 1e-6
+        specs = [
+            hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1),
+            hx.ProblemSpec(
+                family="nonhomogeneous",
+                grid=grid1d,
+                p=3.0,
+                f=hx.GridFunction(grid1d, np.cos(np.pi * grid1d.nodes), hx.NEUMANN_ZERO),
+            ),
+            hx.ProblemSpec(
+                family="neumann-radial",
+                grid=grid3d,
+                p=4.0,
+                a=hx.GridFunction(grid3d, 1.0 + grid3d.nodes, hx.NEUMANN_ZERO),
+            ),
+        ]
+        for spec in specs:
+            u = spec.function(bounded_dirichlet(spec.grid, 100 + seed).values)
+            h = bounded_dirichlet(spec.grid, 200 + seed).values
+            up = hx.phi_grad(spec, u.with_values(u.values + eps * h)).values
+            dn = hx.phi_grad(spec, u.with_values(u.values - eps * h)).values
+            fd = (up - dn) / (2 * eps)
+            np.testing.assert_allclose(phi_hess(spec, u) * h, fd, rtol=1e-5, atol=1e-8)
+
+    def test_hessian_zero_at_zero_and_boundary_nodes(self, cc_spec):
+        # |u|^(q-2) is infinite where u vanishes, so those nodes carry zero
+        vals = np.linspace(0.0, 1.0, cc_spec.grid.size) ** 2
+        vals[cc_spec.grid.boundary_indices(hx.DIRICHLET_ZERO)] = 0.0
+        vals[5] = 0.0
+        hess = phi_hess(cc_spec, cc_spec.function(vals))
+        assert np.isfinite(hess).all()
+        assert hess[0] == hess[5] == hess[-1] == 0.0
+        assert (hess[vals != 0.0] > 0.0).all()
 
 
 class TestNormsAndEnergy:

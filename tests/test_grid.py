@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -314,6 +316,49 @@ class TestSineBasisSolves:
         for sol, ref in ((x, x_ref), (y, y_ref)):
             assert np.linalg.norm(sol[idx] - ref) <= 1e-10 * np.linalg.norm(ref)
             assert not sol[~op.active].any()
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            hx.build_radial_laplacian(hx.RadialGrid(n=41), hx.DIRICHLET_ZERO),
+            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.DIRICHLET_ZERO),
+            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID),
+            hx.build_radial_laplacian(hx.RadialGrid(n=3), hx.DIRICHLET_ZERO),
+        ],
+        ids=["radial-dim1-dirichlet", "radial-dim3-dirichlet", "radial-dim3-neumann", "one-active-node"],
+    )
+    def test_shifted_solve_matches_sparse_solve(self, op):
+        # the Newton system (form - W diag(c)) x = W b on active nodes
+        idx = np.flatnonzero(op.active)
+        rng = np.random.default_rng(op.grid.size)
+        b, c = rng.standard_normal(op.grid.size), rng.uniform(0.0, 5.0, op.grid.size)
+        w = op.weights[idx]
+        J = op.form[np.ix_(idx, idx)] - sp.diags(w * c[idx])
+        ref = spla.spsolve(J.tocsc(), w * b[idx])
+        x = op.solve_shifted(c, b)
+        assert np.linalg.norm(x[idx] - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert not x[~op.active].any()
+        # with no shift it is the form solve
+        y, y_ref = op.solve_shifted(np.zeros(op.grid.size), b), op.solve_form(b)
+        assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+
+    def test_singular_shifted_solve_raises(self):
+        # n=3 has one active node, with form 2/h = 4 and weight h = 0.5
+        op = hx.build_radial_laplacian(hx.RadialGrid(n=3), hx.DIRICHLET_ZERO)
+        with pytest.raises(np.linalg.LinAlgError):
+            op.solve_shifted(np.full(3, 8.0), np.ones(3))
+
+    def test_shifted_solve_keeps_its_bands_on_the_operator(self):
+        # the bands are cached on the operator and die with it, so a
+        # finished run leaves nothing behind
+        op = hx.build_radial_laplacian(hx.RadialGrid(n=41), hx.DIRICHLET_ZERO)
+        op.solve_shifted(np.ones(41), np.ones(41))
+        bands = weakref.ref(op._form_bands[1])
+        with pytest.raises(ValueError, match="read-only"):
+            op._form_bands[1][0] = 0.0
+        del op
+        gc.collect()
+        assert bands() is None
 
     @pytest.mark.parametrize("m", [2, 3, 12, 40])
     def test_riesz_identity(self, m):

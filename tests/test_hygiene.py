@@ -133,8 +133,9 @@ def test_one_module_holds_the_linear_algebra():
     # every solve, with the form or the H^2 Gram matrix, is built by the
     # operator's backend in grid.py
     sources = {p.name: p.read_text() for p in (ROOT / "src/hintcvx").glob("*.py")}
-    users = sorted(name for name, src in sources.items() if "scipy.sparse.linalg" in imported_modules(src))
-    assert users == ["grid.py"]
+    for module in ("scipy.sparse.linalg", "scipy.linalg"):
+        users = sorted(name for name, src in sources.items() if module in imported_modules(src))
+        assert users == ["grid.py"], module
     assert not any(m.startswith("scipy.sparse") for m in imported_modules(sources["functionals.py"]))
 
 

@@ -4,7 +4,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 
 import hintcvx as hx
 from hintcvx import solvers
-from hintcvx.principle import ball_start, strong_residual
+from hintcvx.principle import ball_start, mu_star, strong_residual
 from hintcvx.solvers import LINEAR_SOLVE_RTOL
 from hintcvx.grid import NEG_LAPLACIAN_PLUS_ID, weighted_inner
 
@@ -259,9 +259,8 @@ class TestMountainPass:
         assert strong_residual(nr_spec, u0) <= 1e-8
         assert hx.contains(K, u0, 1e-12)
 
-    def test_halving_test_residual_not_recomputed(self, monkeypatch):
-        # three steps here are accepted by the halved VI residual; the loop
-        # reuses that residual for the next row, so each row costs one call
+    @staticmethod
+    def _counted_run(monkeypatch):
         calls = []
         original = solvers.vi_residual
         monkeypatch.setattr(solvers, "vi_residual", lambda *args: calls.append(1) or original(*args))
@@ -269,9 +268,28 @@ class TestMountainPass:
         a = hx.GridFunction(g, 1.0 + 3.0 * g.nodes, hx.NEUMANN_ZERO)
         spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=3.0, a=a)
         _, trace, _ = hx.mountain_pass(spec, hx.MonotoneCone(g, spec.weights), hx.SolverConfig())
+        return trace, calls
+
+    def test_halving_test_residual_not_recomputed(self, monkeypatch):
+        # three steps here are accepted by the halved VI residual; the loop
+        # reuses that residual for the next row, so each row costs one call
+        # (first-order steps only: no Newton hand-over)
+        monkeypatch.setattr(solvers, "NEWTON_HANDOVER", 0.0)
+        trace, calls = self._counted_run(monkeypatch)
         assert trace.reason == "vi_residual"
         assert len(trace) == 10
         assert len(calls) == 10
+
+    def test_newton_residual_not_recomputed(self, monkeypatch):
+        # the same run hands over to Newton steps; the loop accepts each on
+        # the trial's VI residual and reuses it for the next row
+        accepted = []
+        newton = solvers._newton_step
+        monkeypatch.setattr(solvers, "_newton_step", lambda *args: accepted.append(newton(*args)) or accepted[-1])
+        trace, calls = self._counted_run(monkeypatch)
+        assert trace.reason == "vi_residual"
+        assert len(accepted) == 2 and None not in accepted
+        assert len(calls) == len(trace) == 5
 
 
 def _pg_run(cfg):
@@ -302,6 +320,7 @@ class TestTermination:
 
     def test_no_acceptable_trial_stalls_the_line_search(self, run, monkeypatch):
         monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
+        monkeypatch.setattr(solvers, "NEWTON_HANDOVER", 0.0)
         _, _, trace = run(hx.SolverConfig())
         assert trace.reason == "line-search-stalled"
         assert len(trace) == 1
@@ -341,6 +360,98 @@ class TestStepStop:
         assert report.reason == "vi_residual"
         assert report.trace.rows[-1][2] <= 1e-10
         assert cert.mountain_pass_value == pytest.approx(0.6696071385975798, rel=1e-10)
+
+
+def _neumann(n, dim, p, slope):
+    g = hx.RadialGrid(n=n, dim=dim)
+    a = hx.GridFunction(g, 1.0 + slope * g.nodes, hx.NEUMANN_ZERO)
+    return hx.ProblemSpec(family="neumann-radial", grid=g, p=p, a=a)
+
+
+class TestNewtonFinish:
+    """Stage i on radial grids hands over to guarded Newton steps once the
+    VI residual is at or below NEWTON_HANDOVER.  First-order descent alone
+    stalls on the runs below, or reaches the tolerance only slowly."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("slope", [0.5, 3.0])
+    def test_fine_interval_certifies(self, p, slope):
+        # first-order descent stopped line-search-stalled at VI 1.3e-9-6.8e-9
+        cert, report = hx.run_problem(_neumann(3201, 1, p, slope))
+        assert cert.verdict == "certified"
+        assert report.reason == "vi_residual"
+
+    @pytest.mark.parametrize("p", [8.0, 12.0])
+    def test_large_p_certifies(self, p):
+        # first-order descent stopped at VI 1.5e-5 (p=8) and 7.5e-6 (p=12)
+        cert, report = hx.run_problem(_neumann(401, 1, p, 1.0))
+        assert cert.verdict == "certified"
+        assert report.reason == "vi_residual"
+
+    @pytest.mark.parametrize(
+        "slope, c_first_order",
+        [
+            (0.3370234683976415, 0.8356702959060466),
+            (1.772529699413309, 0.44856061925049884),
+            (0.6286961477084734, 0.7111371087077523),
+            (0.46973854950012267, 0.7740155676764535),
+        ],
+    )
+    def test_stalled_dim3_runs_certify_at_the_same_level(self, slope, c_first_order):
+        # dim 3, n=3201: first-order descent stopped line-search-stalled at
+        # VI 1.1e-9-2.8e-9, at the ray maximum c_first_order
+        cert, report = hx.run_problem(_neumann(3201, 3, 4.0, slope))
+        assert cert.verdict == "certified"
+        assert report.reason == "vi_residual"
+        assert cert.mountain_pass_value == pytest.approx(c_first_order, rel=1e-9)
+
+    def test_fine_dim3_run_takes_few_rows(self):
+        # first-order descent took 135 rows here, most accepted on a halved
+        # VI residual
+        cert, report = hx.run_problem(_neumann(12801, 3, 4.0, 0.5))
+        assert cert.verdict == "certified"
+        assert report.iterations <= 20
+
+    def test_fine_concave_convex_certifies(self):
+        # first-order descent reached VI 7e-11 with a strong residual of
+        # 1.36e-6, and the run was not-critical
+        g = hx.RadialGrid(n=51201, dim=1)
+        spec = hx.ProblemSpec(family="concave-convex", grid=g, p=3.0, q=1.5, mu=0.2 * mu_star(1.0, 3.0, 1.5))
+        cert, _ = hx.run_problem(spec)
+        assert cert.verdict == "certified"
+
+    @pytest.mark.parametrize("n", [201, 801])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_certified_ball_runs_stay_certified(self, n, dim):
+        # the runs of the binding-ball matrix (amplitudes 0.5 and 5, r 0.01,
+        # 0.3 and 3.0) that certify; at dim 3, n=801 a Newton step without the
+        # energy guard's rounding slack was rejected and the run stopped
+        # step at VI 3.9e-9
+        g = hx.RadialGrid(n=n, dim=dim)
+        f = hx.GridFunction(g, 0.5 * np.sin(np.pi * g.nodes), hx.NEUMANN_ZERO)
+        cert, report = hx.run_problem(hx.ProblemSpec(family="nonhomogeneous", grid=g, p=3.0, f=f, r=3.0))
+        assert cert.verdict == "certified"
+        assert report.reason == "vi_residual"
+
+    def test_square_takes_no_newton_step(self, monkeypatch):
+        attempts = []
+        newton = solvers._newton_step
+        monkeypatch.setattr(solvers, "_newton_step", lambda *args: attempts.append(1) or newton(*args))
+        g = hx.Square2DGrid(m=24)
+        spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=0.1)
+        cert, _ = hx.run_problem(spec)
+        assert cert.verdict == "certified"
+        assert attempts == []
+
+    def test_rejected_trial_ends_the_newton_attempts(self, monkeypatch):
+        # a trial that fails its guards is replaced by the first-order step,
+        # and the run tries no further Newton step
+        attempts = []
+        monkeypatch.setattr(solvers, "_newton_step", lambda *args: attempts.append(1))
+        cert, report = hx.run_problem(_neumann(801, 3, 3.0, 3.0))
+        assert attempts == [1]
+        assert report.reason == "vi_residual"
+        assert cert.verdict == "certified"
 
 
 class TestIterTrace:
