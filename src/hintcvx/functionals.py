@@ -83,8 +83,8 @@ class ProblemSpec:
     a: GridFunction | None = None
     C1: float = 1.0
     r: float | None = None
-    # energy_grad's last point and its gradient
-    _last_grad: tuple[GridFunction, np.ndarray] | None = field(default=None, init=False, repr=False)
+    # energy_grad's last two points and their gradients, newest first
+    _last_grads: tuple[tuple[GridFunction, np.ndarray], ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
@@ -283,17 +283,18 @@ def energy_grad(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     """Values of I'(u) = Psi'(u) - Phi'(u) in the weighted pairing, which is
     also the residual A u - Phi'(u) of the strong equation.
 
-    The gradient is kept on the spec for the last grid function asked: a
-    run asks again for the point whose VI residual it has just taken, and a
-    grid function's values never change.  The array is shared by those
-    callers, so it is read-only.
+    The gradients of the last two grid functions asked are kept on the
+    spec: a run asks again for the point whose VI residual it has just
+    taken, and for the iterate once more after a rejected Newton trial has
+    asked for its own; a grid function's values never change.  The arrays
+    are shared by those callers, so they are read-only.
     """
-    last = spec._last_grad
-    if last is not None and last[0] is u:
-        return last[1]
+    for v, g in spec._last_grads:
+        if v is u:
+            return g
     g = psi_grad(spec, u).values - phi_grad(spec, u).values
     g.flags.writeable = False
-    spec._last_grad = (u, g)
+    spec._last_grads = ((u, g), *spec._last_grads[:1])
     return g
 
 

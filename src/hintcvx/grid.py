@@ -286,6 +286,13 @@ class EllipticOperator:
     def is_positive_definite(self) -> bool:
         return self.kind == NEG_LAPLACIAN_PLUS_ID or self.bc == DIRICHLET_ZERO
 
+    @property
+    def has_banded_form(self) -> bool:
+        """Whether ``solve_shifted`` is available: the form is tridiagonal
+        on radial grids.  The square's is not, and a sparse LU of its shifted
+        form costs more than a whole stage-i run there."""
+        return not isinstance(self.grid, Square2DGrid)
+
     @cached_property
     def _active_block(self) -> slice:
         # a radial grid pins only its end nodes, so its active nodes form
@@ -370,7 +377,8 @@ class EllipticOperator:
 
     def solve_shifted(self, shift: np.ndarray, rhs_values: np.ndarray) -> np.ndarray:
         """Solve (A - diag(shift)) x = rhs in the weighted pairing, i.e.
-        (form - W diag(shift)) x = W rhs, on a radial grid's active nodes.
+        (form - W diag(shift)) x = W rhs, on the active nodes of an
+        operator with ``has_banded_form``.
 
         The matrix is tridiagonal, and possibly indefinite, so this is one
         O(n) LAPACK ``gtsv`` solve (Gaussian elimination with partial

@@ -59,7 +59,7 @@ from .functionals import (
     phi_value,
     psi_value,
 )
-from .grid import EllipticOperator, GridFunction, RadialGrid, weighted_inner
+from .grid import EllipticOperator, GridFunction, weighted_inner
 
 logger = logging.getLogger("hintcvx.solvers")
 
@@ -220,10 +220,11 @@ def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float,
     radial grids (Neuberger & Swift, Int. J. Bifur. Chaos 11 (2001); Choi &
     McKenna, Nonlinear Anal. 20 (1993)).
 
-    Returns ``(cand, I(cand), 1.0, rho(cand))`` when the trial lies in K,
-    its energy is finite, its VI residual is below rho and, with
-    ``monotone``, its energy exceeds value by no more than the rounding
-    floor; else None.
+    Returns ``(cand, I(cand), 1.0, rho(cand))`` when the trial moves, lies
+    in K, its energy is finite, its VI residual is below half of rho (one
+    that does not halve it has met the residual's rounding floor, or is not
+    converging quadratically) and, with ``monotone``, its energy exceeds
+    value by no more than the rounding floor; else None.
     """
     try:
         delta = spec.operator.solve_shifted(phi_hess(spec, u), energy_grad(spec, u))
@@ -232,6 +233,8 @@ def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float,
     trial = u.values - delta
     if not np.isfinite(trial).all():  # an overflow in Phi'' or in the solve
         return None
+    if np.array_equal(trial, u.values):  # a null step: u is Newton's fixed point
+        return None
     cand = u.with_values(trial)
     if not contains(K, cand, DEFAULT_MEMBERSHIP_TOL):
         return None
@@ -239,7 +242,7 @@ def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float,
     if not np.isfinite(cand_value) or (monotone and cand_value > value + _energy_floor(value)):
         return None
     cand_rho = vi_residual(spec, K, cand)
-    return (cand, cand_value, 1.0, cand_rho) if cand_rho < rho else None
+    return (cand, cand_value, 1.0, cand_rho) if cand_rho < 0.5 * rho else None
 
 
 def _descend(
@@ -258,28 +261,34 @@ def _descend(
     one.  The last row always holds the returned point's energy and VI
     residual.
 
-    On a radial grid, once rho is at or below ``NEWTON_HANDOVER``, each
-    iteration first tries ``_newton_step`` (``monotone``: the energy may
-    not rise, as the minimising driver asks) and takes ``step`` only when
-    the trial is rejected; after the first rejection the run makes no
-    further Newton attempt.  A Newton row records step 1.0.
+    When the operator ``has_banded_form`` (radial grids) and rho is at or
+    below ``NEWTON_HANDOVER``, each iteration first tries ``_newton_step``
+    (``monotone``: the energy may not rise, as the minimising driver asks)
+    and takes ``step`` only when the trial is rejected; after the first
+    rejection the run makes no further Newton attempt.  Newton steps go on
+    below ``tol_residual`` until a trial is rejected or rho reaches the
+    energy's rounding floor (``_energy_floor``): landing just under the
+    tolerance can leave a strong residual above the certificate's, and one
+    more O(n) step takes both down to rounding.  A Newton row records
+    step 1.0.
     """
     trace = IterTrace()
     step_prev = float("nan")
     rho = None
-    newton = isinstance(spec.grid, RadialGrid)
+    newton = spec.operator.has_banded_form
     for k in range(cfg.max_iters):
         if rho is None:
             rho = vi_residual(spec, K, u)
         trace.append(k, value, rho, step_prev, spec.geometry.norm(u))
-        if rho <= cfg.tol_residual:
-            trace.reason = "vi_residual"
-            return u, trace
         result = None
-        if newton and rho <= NEWTON_HANDOVER:
+        # below tol_residual Newton steps go on down to the energy's floor
+        if newton and min(cfg.tol_residual, _energy_floor(value)) < rho <= NEWTON_HANDOVER:
             result = _newton_step(spec, K, u, value, rho, monotone)
             newton = result is not None
         if result is None:
+            if rho <= cfg.tol_residual:
+                trace.reason = "vi_residual"
+                return u, trace
             result = step(u, value, rho)
         if result is None:
             trace.reason = "line-search-stalled"

@@ -342,6 +342,11 @@ class TestSineBasisSolves:
         y, y_ref = op.solve_shifted(np.zeros(op.grid.size), b), op.solve_form(b)
         assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
 
+    def test_only_radial_forms_are_banded(self):
+        # the square's form has five bands and gets no shifted solve
+        assert hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO).has_banded_form
+        assert not hx.build_2d_laplacian(hx.Square2DGrid(m=8)).has_banded_form
+
     def test_singular_shifted_solve_raises(self):
         # n=3 has one active node, with form 2/h = 4 and weight h = 0.5
         op = hx.build_radial_laplacian(hx.RadialGrid(n=3), hx.DIRICHLET_ZERO)

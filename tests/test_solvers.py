@@ -4,7 +4,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 
 import hintcvx as hx
 from hintcvx import solvers
-from hintcvx.principle import ball_start, mu_star, strong_residual
+from hintcvx.principle import ball_start, certified_at_amplitude, mu_star, strong_residual
 from hintcvx.solvers import LINEAR_SOLVE_RTOL
 from hintcvx.grid import NEG_LAPLACIAN_PLUS_ID, weighted_inner
 
@@ -282,14 +282,17 @@ class TestMountainPass:
 
     def test_newton_residual_not_recomputed(self, monkeypatch):
         # the same run hands over to Newton steps; the loop accepts each on
-        # the trial's VI residual and reuses it for the next row
+        # the trial's VI residual and reuses it for the next row.  The run
+        # ends on the first trial that does not halve the residual (here at
+        # the cone's rounding floor, 1.3e-12), whose residual is one call more
         accepted = []
         newton = solvers._newton_step
         monkeypatch.setattr(solvers, "_newton_step", lambda *args: accepted.append(newton(*args)) or accepted[-1])
         trace, calls = self._counted_run(monkeypatch)
         assert trace.reason == "vi_residual"
-        assert len(accepted) == 2 and None not in accepted
-        assert len(calls) == len(trace) == 5
+        assert len(accepted) == 3 and accepted[-1] is None and None not in accepted[:-1]
+        assert len(trace) == 5
+        assert len(calls) == len(trace) + 1
 
 
 def _pg_run(cfg):
@@ -407,7 +410,9 @@ class TestNewtonFinish:
 
     def test_fine_dim3_run_takes_few_rows(self):
         # first-order descent took 135 rows here, most accepted on a halved
-        # VI residual
+        # VI residual.  The run still ends line-search-stalled: the cone's VI
+        # residual has a rounding floor of 1.37e-10 at this size, above
+        # tol_residual
         cert, report = hx.run_problem(_neumann(12801, 3, 4.0, 0.5))
         assert cert.verdict == "certified"
         assert report.iterations <= 20
@@ -432,6 +437,38 @@ class TestNewtonFinish:
         cert, report = hx.run_problem(hx.ProblemSpec(family="nonhomogeneous", grid=g, p=3.0, f=f, r=3.0))
         assert cert.verdict == "certified"
         assert report.reason == "vi_residual"
+
+    def test_ordinary_run_keeps_its_level(self):
+        # a radial-large op that first-order descent certified in 15 rows at
+        # c = 0.5746898610882595; the Newton steps start inside the cone and
+        # stay at the same critical point
+        cert, report = hx.run_problem(_neumann(801, 3, 4.0, 1.0928791583140323))
+        assert cert.verdict == "certified"
+        assert len(report.trace) <= 8
+        assert cert.mountain_pass_value == pytest.approx(0.5746898610882595, rel=1e-9)
+
+    def test_newton_goes_on_below_the_tolerance(self):
+        # nonhomogeneous dim 1, n=201, p=4, r=0.1255 at the forcing
+        # amplitude first-order descent certified: the Newton step lands at
+        # VI 9.7e-11, just under tol_residual, with a strong residual of
+        # 2.7e-6; one more Newton step takes both to rounding
+        g = hx.RadialGrid(n=201, dim=1)
+        f = hx.GridFunction(g, np.sin(np.pi * g.nodes), hx.NEUMANN_ZERO)
+        r = 0.12552897543352587
+        template = hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f, r=r)
+        assert certified_at_amplitude(template, r, hx.SolverConfig(), 0.11877346992492677)
+
+    def test_newton_stops_at_the_energy_floor(self):
+        # without forcing the solution is 0, which Newton steps approach by
+        # a factor of about 1e-14 each; the run stops once the VI residual
+        # is under the energy's rounding floor
+        g = hx.RadialGrid(n=201, dim=1)
+        f = hx.GridFunction(g, np.zeros(g.size), hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f, r=0.1255)
+        cert, report = hx.run_problem(spec)
+        assert cert.verdict == "certified"
+        assert report.reason == "vi_residual"
+        assert len(report.trace) == 3
 
     def test_square_takes_no_newton_step(self, monkeypatch):
         attempts = []
