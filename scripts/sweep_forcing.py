@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Probe the certified forcing-amplitude threshold as the constraint radius
-varies; writes a plot-ready CSV of (r, lambda_hat)."""
+varies; writes a plot-ready CSV of (r, lambda_hat, evaluations), the last
+column being the number of pipeline runs each probe took."""
 
 import argparse
 import csv
@@ -29,11 +30,12 @@ def main():
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["r", "lambda_hat"])
+        writer.writerow(["r", "lambda_hat", "evaluations"])
         for r in args.radii:
-            lam = forcing_threshold_probe(template, r, cfg)
-            writer.writerow([r, repr(lam)])
-            print(f"r = {r:.3f}: lambda_hat = {lam:.6f}")
+            evaluations = []
+            lam = forcing_threshold_probe(template, r, cfg, trace_out=evaluations)
+            writer.writerow([r, repr(lam), len(evaluations)])
+            print(f"r = {r:.3f}: lambda_hat = {lam:.6f} ({len(evaluations)} runs)")
     print(f"wrote {path}")
 
 

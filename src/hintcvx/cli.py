@@ -6,8 +6,9 @@ Commands
 solve         run the full pipeline on a JSON config; writes
               certificate.json, trace.csv, profile.csv
 window        print the admissibility window {r1, r2} and mu_star
-probe-lambda  bisect the forcing amplitude threshold of a nonhomogeneous
-              config
+probe-lambda  find the forcing amplitude threshold of a nonhomogeneous
+              config: the largest certified amplitude, located as the root
+              of the membership margin of v0 in the ball
 
 Exit codes: 0 certified, 2 clean non-certification, 1 errors.  Logging
 verbosity comes from the ``HINTCVX_LOG`` environment variable
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_window.add_argument("--q", type=float, required=True)
     p_window.set_defaults(func=cmd_window)
 
-    p_probe = sub.add_parser("probe-lambda", help="bisect the forcing amplitude threshold")
+    p_probe = sub.add_parser("probe-lambda", help="find the forcing amplitude threshold")
     p_probe.add_argument("--config", required=True, help="nonhomogeneous run configuration")
     p_probe.add_argument("--seed", type=int, default=None, help="override the solver seed")
     p_probe.set_defaults(func=cmd_probe_lambda)

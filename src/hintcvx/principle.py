@@ -50,10 +50,13 @@ DEFAULT_TOL_STRONG = 1e-6
 VERDICT_CERTIFIED = "certified"
 VERDICT_STEP_II_FAILED = "step-ii-failed"
 VERDICT_NOT_CRITICAL = "not-critical"
-# forcing_threshold_probe: first amplitude, doublings and bisection steps
+# forcing_threshold_probe: first amplitude; reach, as doublings of it; the
+# largest growth per step before the first failure; and the width of the
+# final bracket relative to lambda_hat
 PROBE_S_START = 1e-2
 PROBE_DOUBLINGS = 40
-PROBE_BISECTIONS = 24
+PROBE_GROWTH = 8.0
+PROBE_RESOLUTION = 2.0**-24
 
 
 def _validate_window_params(C1: float, mu: float, p: float, q: float) -> None:
@@ -358,12 +361,24 @@ def _amplitude_spec(spec_template: ProblemSpec, r: float, s: float) -> ProblemSp
     )
 
 
+def _amplitude_run(
+    spec_template: ProblemSpec, r: float, cfg: SolverConfig, s: float
+) -> tuple[bool, float | None]:
+    """Run the full pipeline at forcing amplitude s.  Returns whether it
+    certified and its membership margin r + tol - ||v0||_h2, which is >= 0
+    exactly when v0 passed the ball test (None when stage ii gave no v0)."""
+    cert, _ = run_problem(_amplitude_spec(spec_template, r, s), cfg)
+    ok = cert.verdict == VERDICT_CERTIFIED and cert.error is None
+    if cert.v0_h2_norm is None:
+        return ok, None
+    return ok, r + DEFAULT_MEMBERSHIP_TOL - cert.v0_h2_norm
+
+
 def certified_at_amplitude(
     spec_template: ProblemSpec, r: float, cfg: SolverConfig, s: float
 ) -> bool:
     """Run the full pipeline at forcing amplitude s and report certification."""
-    cert, _ = run_problem(_amplitude_spec(spec_template, r, s), cfg)
-    return cert.verdict == VERDICT_CERTIFIED and cert.error is None
+    return _amplitude_run(spec_template, r, cfg, s)[0]
 
 
 def forcing_threshold_probe(
@@ -375,44 +390,121 @@ def forcing_threshold_probe(
     """Empirical forcing threshold: largest certified amplitude s along the
     normalized direction of the template's forcing.
 
-    Doubles s from PROBE_S_START until certification fails (at most
-    PROBE_DOUBLINGS times), then bisects PROBE_BISECTIONS times; returns
-    the last certified amplitude.  Certification is assumed monotone in s
-    within a run; observed flips are logged as warnings (and visible in
-    ``trace_out`` when provided).
+    The threshold is where v0 leaves the ball: the root of the membership
+    margin m(s) = r + tol - ||v0(s)||_h2, which every run's certificate
+    holds and which is nearly linear below the root.
+
+    Until certification first fails, s moves to the root of the secant
+    through the last two margins (doubling instead when the last such step
+    did not halve the distance to that root), growing by at most
+    PROBE_GROWTH per step from PROBE_S_START and never past
+    PROBE_S_START * 2^PROBE_DOUBLINGS (when that certifies too, a warning,
+    and that amplitude is the result).
+
+    Inside the bracket [certified, failed] it takes secant steps on the
+    last two margins that agree with their verdicts, kept inside the
+    bracket and at least half a resolution from either end (Dekker's method
+    as Brent, 1973, safeguards it).  It bisects when an end's margin is
+    missing or disagrees with its verdict, when the secant's root falls
+    outside the bracket, or when two steps did not halve the bracket.  When
+    a step aimed at the root comes back with such a margin (the verdict
+    flips short of the margin's root, say a not-critical run with v0 in the
+    ball), the next step backs away from that end, twice as far as the one
+    before, up to the midpoint.  It stops once the bracket is no wider than
+    PROBE_RESOLUTION * lambda_hat (PROBE_RESOLUTION * PROBE_S_START while
+    only s = 0 has certified) and returns its certified end, an amplitude
+    it evaluated.
+
+    Certification is assumed monotone in s within a run; observed flips
+    are logged as warnings (and visible in ``trace_out``, the (s, certified)
+    pairs in evaluation order, when provided).
     """
     cfg = cfg or SolverConfig()
     evaluations = trace_out if trace_out is not None else []
+    # (s, margin) of the last two amplitudes whose margin agrees with the
+    # verdict; the secant steps go through these
+    nodes: list[tuple[float, float]] = []
 
-    def certified(s: float) -> bool:
-        ok = certified_at_amplitude(spec_template, r, cfg, s)
+    def run(s: float) -> tuple[bool, bool]:
+        """Verdict at s, and whether its margin agrees with it."""
+        ok, margin = _amplitude_run(spec_template, r, cfg, s)
         evaluations.append((s, ok))
-        return ok
+        usable = margin is not None and (margin >= 0.0) == ok
+        if usable:
+            nodes[:] = nodes[-1:] + [(s, margin)]
+        return ok, usable
 
-    if not certified(0.0):
+    def secant_root() -> float:
+        if len(nodes) < 2 or nodes[0][1] == nodes[1][1]:
+            return math.nan
+        (s0, m0), (s1, m1) = nodes
+        return s1 + m1 * (s1 - s0) / (m0 - m1)
+
+    ok, lo_usable = run(0.0)
+    if not ok:
         raise RuntimeError("pipeline failed to certify the zero forcing; internal error")
 
-    s_lo, s_hi = 0.0, PROBE_S_START
-    for _ in range(PROBE_DOUBLINGS):
-        if not certified(s_hi):
+    s_max = PROBE_S_START * 2.0**PROBE_DOUBLINGS
+    lo, s = 0.0, PROBE_S_START
+    last_gap = math.inf  # the last step's length, when it went to the secant's root
+    while True:
+        ok, usable = run(s)
+        if not ok:
+            hi, hi_usable = s, usable
             break
-        s_lo = s_hi
-        s_hi *= 2.0
-    else:
-        logger.warning("forcing probe never failed up to s = %.3e", s_lo)
-        return s_lo
-
-    for _ in range(PROBE_BISECTIONS):
-        mid = 0.5 * (s_lo + s_hi)
-        if certified(mid):
-            s_lo = mid
+        lo, lo_usable = s, usable
+        if lo >= s_max:
+            logger.warning("forcing probe never failed up to s = %.3e", lo)
+            return lo
+        gap = secant_root() - lo
+        if gap > 0.5 * last_gap:
+            # that step did not halve the distance to the root: double
+            s, gap = 2.0 * lo, math.inf
+        elif gap > 0.0:
+            s = lo + max(gap, 0.5 * PROBE_RESOLUTION * lo)
         else:
-            s_hi = mid
+            s, gap = math.inf, math.inf
+        if s > min(PROBE_GROWTH * lo, s_max):
+            s, gap = min(PROBE_GROWTH * lo, s_max), math.inf
+        last_gap = gap
+
+    # the bracket's width before each step, the verdict of the last step,
+    # and how many aimed steps in a row came back with a margin that
+    # disagreed with their verdict
+    widths: list[float] = []
+    last_ok = False
+    gallop = 0
+    while hi - lo > PROBE_RESOLUTION * (lo if lo > 0.0 else PROBE_S_START):
+        mid = 0.5 * (lo + hi)
+        s = secant_root()
+        aimed = True
+        if gallop:
+            # the verdict flips short of the margin's root: back away from
+            # the end that step moved, twice as far each time
+            step = 0.5 * PROBE_RESOLUTION * (lo if last_ok else hi) * 2.0 ** (gallop - 1)
+            s = min(lo + step, mid) if last_ok else max(hi - step, mid)
+        elif (
+            not (lo_usable and hi_usable and lo < s < hi)
+            or (len(widths) >= 2 and hi - lo > 0.5 * widths[-2])
+        ):
+            s, aimed = mid, False
+        else:
+            d = 0.5 * PROBE_RESOLUTION * s
+            s = min(max(s, lo + d), hi - d)
+        if s in (lo, hi):
+            break  # no double left between the ends
+        widths.append(hi - lo)
+        last_ok, usable = run(s)
+        gallop = gallop + 1 if aimed and not usable else 0
+        if last_ok:
+            lo, lo_usable = s, usable
+        else:
+            hi, hi_usable = s, usable
 
     flips = non_monotone_flips(evaluations)
     if flips:
         logger.warning("forcing probe observed %d non-monotone certification flips", flips)
-    return s_lo
+    return lo
 
 
 def non_monotone_flips(evaluations: list) -> int:

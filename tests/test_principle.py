@@ -1,5 +1,6 @@
 import collections
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from scipy.optimize import brentq, minimize_scalar
 
 import hintcvx as hx
 from hintcvx import convex_sets, functionals, principle
+from hintcvx.grid import weighted_inner
 from hintcvx.principle import (
+    PROBE_DOUBLINGS,
+    PROBE_RESOLUTION,
+    PROBE_S_START,
     VERDICT_CERTIFIED,
     VERDICT_NOT_CRITICAL,
     VERDICT_STEP_II_FAILED,
@@ -518,9 +523,151 @@ class TestForcingProbe:
         spec = self.make_template()
         evals = []
         hx.forcing_threshold_probe(spec, 0.5, hx.SolverConfig(), trace_out=evals)
-        assert len(evals) == 32
+        assert len(evals) == 7
         assert len(builds) == 1
         assert sorted(solvers) == [False, True]
+
+    @staticmethod
+    def check_bracket(evals, lam):
+        """lam is the largest certified amplitude the probe evaluated, and the
+        smallest failed one lies within the probe's resolution above it."""
+        assert lam == max(s for s, ok in evals if ok)
+        s_fail = min(s for s, ok in evals if not ok)
+        assert lam < s_fail
+        assert s_fail - lam <= PROBE_RESOLUTION * (lam if lam > 0.0 else PROBE_S_START)
+
+    @staticmethod
+    def model_pipeline(monkeypatch, model):
+        """Stand in for run_problem: model(s) gives the verdict at forcing
+        amplitude s and ||v0||_h2 (None for no v0)."""
+
+        def fake(spec, cfg=None):
+            f = spec.f.values
+            ok, v0_h2 = model(math.sqrt(weighted_inner(spec.weights, f, f)))
+            verdict = VERDICT_CERTIFIED if ok else VERDICT_STEP_II_FAILED
+            return principle.Certificate(problem={}, verdict=verdict, v0_h2_norm=v0_h2), None
+
+        monkeypatch.setattr(principle, "run_problem", fake)
+
+    def test_first_amplitude_fails(self):
+        # lambda_hat ~ 4.74e-3 lies below PROBE_S_START; the bisection took 26
+        # pipelines (0, 1e-2 and 24 halvings) and returned 0.004742395878
+        spec = self.make_template(n=201)
+        evals = []
+        lam = hx.forcing_threshold_probe(spec, 0.005, hx.SolverConfig(), trace_out=evals)
+        assert evals[:2] == [(0.0, True), (PROBE_S_START, False)]
+        assert len(evals) <= 26
+        self.check_bracket(evals, lam)
+        assert min(s for s, ok in evals if not ok) - lam <= PROBE_RESOLUTION * PROBE_S_START
+        assert lam == pytest.approx(0.004742395878, rel=1e-7)
+
+    def test_nothing_positive_certifies(self, monkeypatch):
+        # lambda_hat = 0 ends at the absolute width PROBE_S_START * PROBE_RESOLUTION
+        self.model_pipeline(monkeypatch, lambda s: (s == 0.0, 0.0 if s == 0.0 else 1.0))
+        evals = []
+        lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        assert lam == 0.0
+        self.check_bracket(evals, lam)
+        assert len(evals) <= 27
+
+    def test_never_fails(self, monkeypatch, caplog):
+        self.model_pipeline(monkeypatch, lambda s: (True, 0.0))
+        evals = []
+        with caplog.at_level("WARNING", logger="hintcvx.principle"):
+            lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        reach = PROBE_S_START * 2.0**PROBE_DOUBLINGS
+        assert lam == max(s for s, _ in evals) == reach
+        assert all(ok for _, ok in evals)
+        assert "never failed" in caplog.text
+        # s = 0, then 1e-2 * 8^k for k = 0..13, then the reach
+        assert len(evals) == 16
+
+    @pytest.mark.parametrize("certified_h2, failed_h2", [(None, None), (1.0, 0.0)], ids=["missing", "wrong-sign"])
+    def test_unusable_margins_bisect(self, monkeypatch, certified_h2, failed_h2):
+        # certified exactly up to 0.3; margins r - ||v0||_h2 at r = 0.5 that
+        # are missing, or negative where certified and positive where not
+        self.model_pipeline(monkeypatch, lambda s: (s <= 0.3, certified_h2 if s <= 0.3 else failed_h2))
+        evals = []
+        lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        self.check_bracket(evals, lam)
+        assert lam == pytest.approx(0.3, rel=PROBE_RESOLUTION)
+        # past the first failure every amplitude is the bracket's midpoint
+        first_fail = next(i for i, (_, ok) in enumerate(evals) if not ok)
+        lo, hi = evals[first_fail - 1][0], evals[first_fail][0]
+        for s, ok in evals[first_fail + 1:]:
+            assert s == 0.5 * (lo + hi)
+            lo, hi = (s, hi) if ok else (lo, s)
+
+    def test_margin_counts_the_ball_slack(self, monkeypatch):
+        # certified runs with r < ||v0||_h2 <= r + tol passed the ball test, so
+        # their margins steer the search: read as r - ||v0||_h2 they would
+        # disagree with the verdict and leave only bisection (29 runs)
+        tol = convex_sets.DEFAULT_MEMBERSHIP_TOL
+        self.model_pipeline(monkeypatch, lambda s: (s <= 0.3, 0.5 + tol * s / 0.3))
+        evals = []
+        lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        self.check_bracket(evals, lam)
+        assert len(evals) <= 8
+
+    @pytest.mark.parametrize("order, runs", [(5, 45), (9, 30)])
+    def test_flat_margin_still_brackets(self, monkeypatch, order, runs):
+        # margin (0.3 - s)^order below the threshold 0.3: secant steps creep
+        # up on a root of high order, and the bracket's halving rule (order 5:
+        # 37 runs, 59 without it) and the growth's fallback to doubling
+        # (order 9: 23 runs, 45 without it) bound the work
+        tol = convex_sets.DEFAULT_MEMBERSHIP_TOL
+        self.model_pipeline(
+            monkeypatch,
+            lambda s: (s <= 0.3, 0.5 + tol - (0.3 - s) ** order if s <= 0.3 else 0.5 + tol + (s - 0.3)),
+        )
+        evals = []
+        lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        self.check_bracket(evals, lam)
+        assert lam == pytest.approx(0.3, rel=PROBE_RESOLUTION)
+        assert len(evals) <= runs
+
+    def test_verdict_flips_inside_the_ball(self):
+        # p=3, r=0.05: amplitudes up to ~3.6e-7 relative below the margin's
+        # root are not-critical (strong residual 2.3e-5) with v0 still in
+        # the ball; the probe backs away from them instead of creeping
+        template = self.make_template()
+        spec = hx.ProblemSpec(family="nonhomogeneous", grid=template.grid, p=3.0, f=template.f)
+        evals = []
+        lam = hx.forcing_threshold_probe(spec, 0.05, hx.SolverConfig(), trace_out=evals)
+        self.check_bracket(evals, lam)
+        assert lam == pytest.approx(0.04739492655, rel=1e-7)
+        assert len(evals) <= 12
+
+    # guard configs (p=4, sin(pi x) forcing): dim, n, r and the lambda_hat
+    # that the 24-step bisection on the verdict returned
+    BISECTION_THRESHOLDS = [
+        (1, 201, 0.1, 0.09484657287597657),
+        (1, 201, 0.3, 0.2845077705383301),
+        (1, 201, 0.6, 0.5687998390197755),
+        (1, 801, 0.1, 0.09484667301177979),
+        (1, 801, 0.3, 0.28450806617736824),
+        (1, 801, 0.6, 0.5688004493713379),
+        (3, 201, 0.1, 0.09527326583862304),
+        (3, 201, 0.3, 0.285811185836792),
+        (3, 201, 0.6, 0.5715642166137695),
+        (3, 801, 0.1, 0.09527336597442626),
+        (3, 801, 0.3, 0.2858114910125732),
+        (3, 801, 0.6, 0.5715648460388183),
+    ]
+
+    @pytest.mark.parametrize("dim, n, r, bisected", BISECTION_THRESHOLDS)
+    def test_matches_bisection_threshold(self, dim, n, r, bisected):
+        g = hx.RadialGrid(n=n, dim=dim)
+        f = hx.GridFunction(g, np.sin(np.pi * g.nodes), hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f)
+        cfg = hx.SolverConfig()
+        evals = []
+        lam = hx.forcing_threshold_probe(spec, r, cfg, trace_out=evals)
+        assert lam == pytest.approx(bisected, rel=1e-7)
+        assert len(evals) <= 16
+        self.check_bracket(evals, lam)
+        assert dict(evals)[lam] is True
+        assert not certified_at_amplitude(spec, r, cfg, 2.0 * lam)
 
     def test_family_check(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)

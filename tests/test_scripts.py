@@ -50,6 +50,7 @@ def test_sweep_forcing(tmp_path):
     run_script("sweep_forcing.py", "--n", 41, "--radii", 0.3, "--out", path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["r", "lambda_hat"]
+    assert rows[0] == ["r", "lambda_hat", "evaluations"]
     assert len(rows) == 2 and float(rows[1][0]) == pytest.approx(0.3)
     assert float(rows[1][1]) > 0.0
+    assert 1 <= int(rows[1][2]) <= 16
