@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import hintcvx as hx
+from hintcvx import functionals
 
 
 @pytest.fixture
@@ -22,6 +25,19 @@ def grid3d():
 @pytest.fixture
 def grid2d():
     return hx.Square2DGrid(m=6)
+
+
+@pytest.fixture
+def operator_counts(monkeypatch):
+    """An empty operator cache, so no live grid from another test shares an
+    operator, and the work done through it: the radial operators built and,
+    by their ``gram`` flag, the factors made (``EllipticOperator._solver``)."""
+    monkeypatch.setattr(functionals, "_OPERATORS", weakref.WeakKeyDictionary())
+    builds, factors = [], []
+    build, solver = functionals.build_radial_laplacian, hx.EllipticOperator._solver
+    monkeypatch.setattr(functionals, "build_radial_laplacian", lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(hx.EllipticOperator, "_solver", lambda op, gram: factors.append(gram) or solver(op, gram))
+    return builds, factors
 
 
 @pytest.fixture

@@ -298,7 +298,7 @@ class TestNormsAndEnergy:
 
 class TestOperatorSharing:
     """ProblemSpec.operator builds one operator per (grid, bc, kind) and
-    shares it, factors included, while some spec holds it."""
+    shares it, factors included, while its grid lives."""
 
     @pytest.mark.parametrize(
         "make_grid", [lambda: hx.RadialGrid(n=57, dim=3), lambda: hx.Square2DGrid(m=9)], ids=["radial", "square"]
@@ -320,14 +320,25 @@ class TestOperatorSharing:
         assert (ball.operator.bc, ball.operator.kind) == (hx.DIRICHLET_ZERO, NEG_LAPLACIAN)
         assert (cone.operator.bc, cone.operator.kind) == (hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID)
 
-    def test_operator_dies_with_its_last_spec(self):
-        # no gc.collect(): the cache holds no strong reference and a run
-        # leaves no reference cycle that keeps the operator alive
+    def test_operator_lives_while_its_grid_lives(self, operator_counts):
         g = hx.RadialGrid(n=63, dim=1)
         spec = hx.ProblemSpec(family="concave-convex", grid=g, p=3.0, q=1.5, mu=0.5 * mu_star(1.0, 3.0, 1.5))
         cert, report = run_problem(spec)
         assert cert.verdict == "certified"
         op = weakref.ref(spec.operator)
-        assert op().form_solver is not None and op().gram_solver is not None
+        # the operator holds an equal copy of its grid, so no cache entry
+        # keeps its own key alive
+        assert op().grid == g and op().grid is not g
         del spec, cert, report
+        # the next spec on the held grid finds the operator and both factors
+        assert {"form_solver", "gram_solver"} <= vars(op()).keys()
+        again = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=0.1)
+        assert again.operator is op()
+        # no gc.collect(): a run leaves no reference cycle, so refcounting
+        # frees the operator with the last of its grid and specs
+        del again
+        assert op() is not None
+        del g
         assert op() is None
+        builds, factors = operator_counts
+        assert len(builds) == 1 and sorted(factors) == [False, True]

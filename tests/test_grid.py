@@ -378,7 +378,9 @@ class TestSineBasisSolves:
         scale = geo.h2_norm(G) * geo.h2_norm(v)
         assert abs(h2_pairing - weighted_inner(w, gvals, v)) <= 1e-10 * scale
 
-    def test_square_run_factors_nothing(self, monkeypatch):
+    def test_square_run_factors_nothing(self, monkeypatch, operator_counts):
+        # operator_counts empties the operator cache, so the runs below
+        # build the square's operator and its solvers under the patch
         def refuse(*args, **kwargs):
             raise AssertionError("sparse factorization on the square")
 

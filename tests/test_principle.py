@@ -1,5 +1,4 @@
 import collections
-import gc
 import math
 
 import numpy as np
@@ -513,19 +512,15 @@ class TestForcingProbe:
         lams = [hx.forcing_threshold_probe(spec, r, cfg) for r in (0.5, 0.2, 0.05)]
         assert lams[0] > lams[1] > lams[2] > 0.0
 
-    def test_probe_builds_one_operator(self, monkeypatch):
+    def test_probe_builds_one_operator(self, operator_counts):
         # every amplitude's spec shares the template's operator and factors
-        builds, solvers = [], []
-        build, solver = functionals.build_radial_laplacian, hx.EllipticOperator._solver
-        monkeypatch.setattr(functionals, "build_radial_laplacian", lambda *a: builds.append(a) or build(*a))
-        monkeypatch.setattr(hx.EllipticOperator, "_solver", lambda op, gram: solvers.append(gram) or solver(op, gram))
-        gc.collect()  # no spec left over from another test shares the grid
+        builds, factors = operator_counts
         spec = self.make_template()
         evals = []
         hx.forcing_threshold_probe(spec, 0.5, hx.SolverConfig(), trace_out=evals)
         assert len(evals) == 7
         assert len(builds) == 1
-        assert sorted(solvers) == [False, True]
+        assert sorted(factors) == [False, True]
 
     @staticmethod
     def check_bracket(evals, lam):
@@ -679,6 +674,32 @@ class TestForcingProbe:
         spec = hx.ProblemSpec(family="nonhomogeneous", grid=grid1d, p=3.0, f=f)
         with pytest.raises(ValueError):
             hx.forcing_threshold_probe(spec, 0.5, hx.SolverConfig())
+
+
+class TestSweepSharing:
+    """A parameter sweep holds one grid and makes a fresh spec per
+    parameter, as scripts/run_concave_convex.py and run_neumann_radial.py
+    do: the grid's operator is built, and each factor made, once."""
+
+    def test_concave_convex_sweep_over_mu(self, operator_counts):
+        builds, factors = operator_counts
+        g = hx.RadialGrid(n=201, dim=1)
+        for frac in (0.25, 0.5, 0.75):
+            spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=frac * hx.mu_star(1.0, 4.0, 1.5))
+            cert, _ = run_problem(spec)
+            assert cert.verdict == VERDICT_CERTIFIED
+        assert len(builds) == 1
+        assert sorted(factors) == [False, True]
+
+    def test_cone_sweep_over_the_weight(self, operator_counts):
+        builds, factors = operator_counts
+        g = hx.RadialGrid(n=201, dim=3)
+        for slope in (0.5, 1.0, 2.0):
+            a = hx.GridFunction(g, 1.0 + slope * g.nodes, hx.NEUMANN_ZERO)
+            cert, _ = run_problem(hx.ProblemSpec(family="neumann-radial", grid=g, p=4.0, a=a))
+            assert cert.verdict == VERDICT_CERTIFIED
+        assert len(builds) == 1
+        assert sorted(factors) == [False]
 
 
 class TestWindowCorrectnessSweep:
