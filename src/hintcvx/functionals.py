@@ -147,7 +147,7 @@ class ProblemSpec:
         The operator and its cached factors stay alive while the grid they
         were first built for lives, so a sweep that holds one grid and makes
         a spec per parameter builds and factors once.  A held grid keeps
-        them in memory: at n = 51201 that is about 39 MB with both factors
+        them in memory: at n = 51201 that is about 20 MB with both factors
         (RSS).  Once that grid and every spec holding the operator are gone,
         refcounting frees it, with no garbage collection needed."""
         kind = NEG_LAPLACIAN if self.family in BALL_FAMILIES else NEG_LAPLACIAN_PLUS_ID

@@ -302,19 +302,35 @@ class EllipticOperator:
 
     def _solver(self, gram: bool):
         """The operator's one solve backend on active nodes, of the form F or
-        with ``gram`` of the H^2 Gram matrix W + S + F W^-1 F: the sine basis
-        on the square (there h^2 I + K + K^2 / h^2), sparse LU on radial grids."""
+        with ``gram`` of the H^2 Gram matrix H = W + S + F W^-1 F.
+
+        On the square it is the sine basis (there H = h^2 I + K + K^2 / h^2).
+        On radial grids the form gets a sparse LU factor, and H, never
+        assembled, is solved through F's bands: H = W q(A) with A = W^-1 F.
+        For the ``neg-laplacian-plus-identity`` kind S = F - W and
+        q(t) = t (t + 1), so x = (F + W)^-1 W F^-1 b, two positive definite
+        tridiagonal factors.  For ``neg-laplacian`` S = F and
+        1 / q(t) = 1 / (t^2 + t + 1) = (2 / sqrt 3) Im 1 / (t - omega) with
+        omega = e^(2 pi i / 3), so x = (2 / sqrt 3) Im (F - omega W)^-1 b,
+        one complex tridiagonal factor.  An LU of the assembled H, whose
+        F W^-1 F term squares the condition of F, is far less accurate: at
+        dim 3 (Neumann kind) its relative error is 2.4e-10 at n = 41 and
+        4.4e-4 at n = 3201, against 4.3e-14 and 3.9e-11 here."""
         if isinstance(self.grid, Square2DGrid):
             if gram:
                 h2 = self.grid.h**2
                 return sine_solver(self.grid, lambda lam: h2 + lam + lam * lam / h2)
             return sine_solver(self.grid, lambda lam: lam)
         act = self._active_block
-        F = self.form[act, act]
-        if gram:
-            w = self.weights[act]
-            F = sp.diags(w) + self.stiffness[act, act] + F @ sp.diags(1.0 / w) @ F
-        return spla.factorized(F.tocsc())
+        if not gram:
+            return spla.factorized(self.form[act, act].tocsc())
+        lower, diag, upper = self._form_bands
+        w = self.weights[act]
+        if self.kind == NEG_LAPLACIAN_PLUS_ID:
+            solve_f, solve_fw = _pt_solver(diag, upper), _pt_solver(diag + w, upper)
+            return lambda b: solve_fw(w * solve_f(b))
+        solve_c = _gt_solver(lower, diag - complex(-0.5, math.sqrt(0.75)) * w, upper)
+        return lambda b: (2.0 / math.sqrt(3.0)) * solve_c(b).imag
 
     @cached_property
     def form_solver(self):
@@ -397,6 +413,28 @@ class EllipticOperator:
         x = np.zeros(self.grid.size)
         x[act] = x_act
         return x
+
+
+def _pt_solver(diag: np.ndarray, off: np.ndarray):
+    """Solve with the symmetric positive definite tridiagonal matrix of the
+    given bands by its LAPACK ``pttrf`` factor L D L^T, made once."""
+    d, e, info = sla.lapack.dpttrf(diag, off)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return lambda b: sla.lapack.dpttrs(d, e, b)[0]
+
+
+def _gt_solver(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    """Solve with the complex tridiagonal matrix of the given bands by its
+    LAPACK ``gttrf`` factor (LU with partial pivoting), made once."""
+    if diag.size < 3:
+        # the zgttrf wrapper takes no fewer than three unknowns; zgtsv takes
+        # the bands as _form_bands pads them
+        return lambda b: sla.lapack.zgtsv(lower, diag, upper, b)[3]
+    *factor, info = sla.lapack.zgttrf(lower, diag, upper)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return lambda b: sla.lapack.zgttrs(*factor, b)[0]
 
 
 def _read_only(*arrays) -> None:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.grid import NEG_LAPLACIAN_PLUS_ID, sphere_area, weighted_inner, write_node_csv
+from hintcvx.grid import NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID, sphere_area, weighted_inner, write_node_csv
 from hintcvx.principle import mu_star, run_problem
 
 from conftest import random_dirichlet
@@ -289,6 +289,32 @@ def test_operator_arrays_are_read_only(op):
             arr[0] = arr[0]
 
 
+def _matvec_ld(M):
+    """The product with sparse M, evaluated in np.longdouble."""
+    C = M.tocoo()
+    data = C.data.astype(np.longdouble)
+
+    def apply(x):
+        out = np.zeros(M.shape[0], dtype=np.longdouble)
+        np.add.at(out, C.row, data * x[C.col])
+        return out
+
+    return apply
+
+
+def _refined_solve(M, apply_ld, b, sweeps=4):
+    """M x = b by a sparse LU of M and iterative refinement with residuals
+    b - M x from ``apply_ld`` in np.longdouble (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 12).  Where np.longdouble has a
+    64-bit significand (x86) this reaches about 1e-16 relative, far past
+    the LU's own forward error."""
+    lu = spla.splu(M.tocsc())
+    x = lu.solve(b).astype(np.longdouble)
+    for _ in range(sweeps):
+        x += lu.solve((b - apply_ld(x)).astype(float))
+    return x.astype(float)
+
+
 class TestSineBasisSolves:
     """The square's form and H^2 Gram solves run in the sine basis."""
 
@@ -303,19 +329,39 @@ class TestSineBasisSolves:
     )
     def test_form_and_gram_match_sparse_solves(self, op):
         # both systems go through the operator's one backend: the sine basis
-        # on the square, sparse LU on radial grids
+        # on the square; on radial grids sparse LU for the form and banded
+        # factors of F for the Gram matrix.  The references are refined in
+        # extended precision: an LU of the assembled Gram matrix alone is
+        # off by 2.4e-10 relative at dim 3, n = 41.
         geo = hx.H2Geometry(op)
         idx = np.flatnonzero(op.active)
         b = np.random.default_rng(op.grid.size).standard_normal(op.grid.size)
         w = op.weights[idx]
-        F = op.form[np.ix_(idx, idx)]
-        gram = sp.diags(w) + op.stiffness[np.ix_(idx, idx)] + F @ sp.diags(1.0 / w) @ F
-        x_ref = spla.spsolve(F.tocsc(), w * b[idx])
-        y_ref = spla.spsolve(gram.tocsc(), w * b[idx])
+        F, S = op.form[np.ix_(idx, idx)], op.stiffness[np.ix_(idx, idx)]
+        gram = sp.diags(w) + S + F @ sp.diags(1.0 / w) @ F
+        F_ld, S_ld, w_ld = _matvec_ld(F), _matvec_ld(S), w.astype(np.longdouble)
+        x_ref = _refined_solve(F, F_ld, w * b[idx])
+        y_ref = _refined_solve(gram, lambda y: w_ld * y + S_ld(y) + F_ld(F_ld(y) / w_ld), w * b[idx])
         x, y = op.solve_form(b), geo.riesz(b)
         for sol, ref in ((x, x_ref), (y, y_ref)):
-            assert np.linalg.norm(sol[idx] - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.linalg.norm(sol[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
             assert not sol[~op.active].any()
+
+    @pytest.mark.parametrize("kind", [NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID])
+    @pytest.mark.parametrize("n, dim", [(3, 1), (4, 1), (3, 3), (4, 3), (5, 1)], ids=["1", "2", "2-dim3", "3-dim3", "3"])
+    def test_gram_solve_on_few_active_nodes(self, n, dim, kind):
+        # one to three active nodes, where the complex factor's LAPACK
+        # wrapper needs its own path; a dense solve is exact enough here
+        op = hx.build_radial_laplacian(hx.RadialGrid(n=n, dim=dim), hx.DIRICHLET_ZERO, kind)
+        idx = np.flatnonzero(op.active)
+        w = op.weights[idx]
+        F = op.form[np.ix_(idx, idx)].toarray()
+        gram = np.diag(w) + op.stiffness[np.ix_(idx, idx)].toarray() + F @ np.diag(1.0 / w) @ F
+        b = np.arange(1.0, n + 1.0)
+        ref = np.linalg.solve(gram, w * b[idx])
+        y = hx.H2Geometry(op).riesz(b)
+        assert np.linalg.norm(y[idx] - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert not y[~op.active].any()
 
     @pytest.mark.parametrize(
         "op",

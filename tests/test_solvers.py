@@ -346,7 +346,7 @@ class TestStepStop:
         _, report = hx.run_problem(_nonhomogeneous(1, 5.0, 3.0))
         rows = report.trace.rows
         assert report.reason == "step"
-        assert len(rows) == 14
+        assert len(rows) == 20
         assert rows[-1][1] == rows[-2][1]
         assert rows[-1][4] == rows[-2][4]
 
