@@ -329,7 +329,8 @@ class EllipticOperator:
         if self.kind == NEG_LAPLACIAN_PLUS_ID:
             solve_f, solve_fw = _pt_solver(diag, upper), _pt_solver(diag + w, upper)
             return lambda b: solve_fw(w * solve_f(b))
-        solve_c = _gt_solver(lower, diag - complex(-0.5, math.sqrt(0.75)) * w, upper)
+        omega = complex(-0.5, math.sqrt(0.75))
+        solve_c = _gt_solver(lower, diag - omega * w, upper)
         return lambda b: (2.0 / math.sqrt(3.0)) * solve_c(b).imag
 
     @cached_property
