@@ -48,8 +48,9 @@ BALL_FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS)
 # ProblemSpec.operator's cache: grid -> {(bc, kind): operator}.  Its keys
 # are weak and matched by equality, so an operator, with every factor cached
 # on it, lives as long as the grid it was first built for, and after that as
-# long as a spec holds it.  Each operator is built on a copy of its key
-# grid, so no entry keeps its own key alive.
+# long as a spec holds it.  A held radial grid at n = 51201 so keeps about
+# 20 MB alive.  Each operator is built on a copy of its key grid, so no entry
+# keeps its own key alive.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
