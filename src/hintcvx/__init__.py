@@ -13,7 +13,6 @@ from .grid import (
     EllipticOperator,
     GridFunction,
     RadialGrid,
-    RankDeficiencyError,
     Square2DGrid,
     build_2d_laplacian,
     build_radial_laplacian,
@@ -76,7 +75,6 @@ __all__ = [
     "MonotoneCone",
     "ProblemSpec",
     "RadialGrid",
-    "RankDeficiencyError",
     "SolverConfig",
     "SolverReport",
     "Square2DGrid",

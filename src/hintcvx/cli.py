@@ -260,6 +260,10 @@ def cmd_solve(args) -> int:
         return 1
 
     try:
+        # an earlier run's trace or profile must not outlive this run's
+        # certificate when this run writes none
+        for name in ("trace.csv", "profile.csv"):
+            (out_dir / name).unlink(missing_ok=True)
         doc = cert.to_json_dict()
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
         with open(out_dir / "certificate.json", "w") as fh:

@@ -32,14 +32,12 @@ def _psi_of(op: EllipticOperator, values: np.ndarray) -> float:
 
 
 def fenchel_conjugate_quadratic(op: EllipticOperator, ustar: GridFunction) -> float:
-    """Conjugate of the quadratic form: Psi*(u*) = 1/2 <A^-1 u*, u*>_w.
-
-    Requires a positive definite operator; the pure-Neumann negative
-    Laplacian is rejected with a rank-deficiency error.
-    """
+    """Conjugate of the quadratic form: Psi*(u*) = 1/2 <A^-1 u*, u*>_w,
+    finite for every u* because A (``-Lap`` or ``-Lap + I``) is positive
+    definite."""
     if ustar.grid != op.grid:
         raise ValueError("dual element lives on a different grid than the operator")
-    x = op.solve_form(ustar.values)  # raises RankDeficiencyError when singular
+    x = op.solve_form(ustar.values)
     return 0.5 * weighted_inner(op.weights, x, ustar.values)
 
 

@@ -25,8 +25,6 @@ import numpy as np
 
 from .grid import (
     DIRICHLET_ZERO,
-    NEG_LAPLACIAN,
-    NEG_LAPLACIAN_PLUS_ID,
     NEUMANN_ZERO,
     EllipticOperator,
     FieldError,
@@ -45,7 +43,7 @@ NEUMANN_RADIAL = "neumann-radial"
 FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS, NEUMANN_RADIAL)
 BALL_FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS)
 
-# ProblemSpec.operator's cache: grid -> {(bc, kind): operator}.  Its keys
+# ProblemSpec.operator's cache: grid -> {bc: operator}.  Its keys
 # are weak and matched by equality, so an operator, with every factor cached
 # on it, lives as long as the grid it was first built for, and after that as
 # long as a spec holds it.  A held radial grid at n = 51201 so keeps about
@@ -151,16 +149,15 @@ class ProblemSpec:
         them in memory: at n = 51201 that is about 20 MB with both factors
         (RSS).  Once that grid and every spec holding the operator are gone,
         refcounting frees it, with no garbage collection needed."""
-        kind = NEG_LAPLACIAN if self.family in BALL_FAMILIES else NEG_LAPLACIAN_PLUS_ID
         ops = _OPERATORS.setdefault(self.grid, {})
-        op = ops.get((self.bc, kind))
+        op = ops.get(self.bc)
         if op is None:
             grid = copy.copy(self.grid)
             if isinstance(grid, Square2DGrid):
                 op = build_2d_laplacian(grid)
             else:
-                op = build_radial_laplacian(grid, self.bc, kind)
-            ops[self.bc, kind] = op
+                op = build_radial_laplacian(grid, self.bc)
+            ops[self.bc] = op
         return op
 
     @property
@@ -338,7 +335,8 @@ class H2Geometry:
     H x = W g so that <x, v>_h2 = <g, v>_w for all admissible v.  H is
     solved by the operator's one backend (``EllipticOperator.gram_solver``,
     beside ``form_solver``), so every geometry on an operator shares its
-    factor.
+    factor; only a ``dirichlet-zero`` operator has one.  The norm needs no
+    solve.
     """
 
     def __init__(self, op: EllipticOperator):

@@ -14,7 +14,9 @@ Two desk-scale domains are supported:
 
 Operators are second-order finite differences assembled from a symmetric
 stiffness form, so they are exactly self-adjoint in the quadrature-weighted
-inner product and positive semidefinite by construction.
+inner product.  The boundary condition fixes the operator: ``-Lap`` under
+zero Dirichlet data, ``-Lap + I`` under zero Neumann data.  Both are
+positive definite.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ DIRICHLET_ZERO = "dirichlet-zero"
 NEUMANN_ZERO = "neumann-zero"
 BC_TAGS = (DIRICHLET_ZERO, NEUMANN_ZERO)
 
-NEG_LAPLACIAN = "neg-laplacian"
-NEG_LAPLACIAN_PLUS_ID = "neg-laplacian-plus-identity"
-OPERATOR_KINDS = (NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID)
-
 
 class FieldError(ValueError):
     """Invalid constructor argument; ``field`` names the offending one."""
@@ -51,11 +49,6 @@ def _check_count(name: str, value, least: int) -> None:
     # bool is an int subclass, but true is no node count
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise FieldError(name, f"expected an integer {name} >= {least}, got {name}={value!r}")
-
-
-class RankDeficiencyError(ValueError):
-    """Raised when an operation needs a positive definite operator but the
-    operator has a nontrivial kernel (pure-Neumann negative Laplacian)."""
 
 
 def sphere_area(dim: int) -> float:
@@ -252,7 +245,7 @@ class EllipticOperator:
     quadrature representative of the bilinear form, i.e.
     ``<A u, v>_w = u^T form v`` for every v supported on active nodes.
     ``stiffness`` holds the gradient part only (used for the H^1 seminorm);
-    ``form`` adds the identity term when the kind includes it.  Dirichlet
+    ``form`` adds the identity term under ``neumann-zero``.  Dirichlet
     rows and columns are zeroed, so the operator acts on the subspace of
     functions vanishing at the boundary and returns members of it.
 
@@ -260,7 +253,6 @@ class EllipticOperator:
     of its matrices, are read-only.
     """
 
-    kind: str
     grid: Grid
     bc: str
     weights: np.ndarray = field(repr=False)
@@ -276,15 +268,12 @@ class EllipticOperator:
 
     @cached_property
     def form(self) -> sp.csr_matrix:
-        if self.kind == NEG_LAPLACIAN:
+        if self.bc == DIRICHLET_ZERO:
             return self.stiffness
-        F = (self.stiffness + sp.diags(np.where(self.active, self.weights, 0.0))).tocsr()
+        # neumann-zero pins no node
+        F = (self.stiffness + sp.diags(self.weights)).tocsr()
         _read_only(F.data, F.indices, F.indptr)
         return F
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.kind == NEG_LAPLACIAN_PLUS_ID or self.bc == DIRICHLET_ZERO
 
     @property
     def has_banded_form(self) -> bool:
@@ -306,16 +295,13 @@ class EllipticOperator:
 
         On the square it is the sine basis (there H = h^2 I + K + K^2 / h^2).
         On radial grids the form gets a sparse LU factor, and H, never
-        assembled, is solved through F's bands: H = W q(A) with A = W^-1 F.
-        For the ``neg-laplacian-plus-identity`` kind S = F - W and
-        q(t) = t (t + 1), so x = (F + W)^-1 W F^-1 b, two positive definite
-        tridiagonal factors.  For ``neg-laplacian`` S = F and
-        1 / q(t) = 1 / (t^2 + t + 1) = (2 / sqrt 3) Im 1 / (t - omega) with
-        omega = e^(2 pi i / 3), so x = (2 / sqrt 3) Im (F - omega W)^-1 b,
-        one complex tridiagonal factor.  An LU of the assembled H, whose
-        F W^-1 F term squares the condition of F, is far less accurate: at
-        dim 3 (Neumann kind) its relative error is 2.4e-10 at n = 41 and
-        4.4e-4 at n = 3201, against 4.3e-14 and 3.9e-11 here."""
+        assembled, is solved through F's bands: with S = F (``-Lap``),
+        H = W q(A) for A = W^-1 F and 1 / q(t) = 1 / (t^2 + t + 1)
+        = (2 / sqrt 3) Im 1 / (t - omega), omega = e^(2 pi i / 3), so
+        x = (2 / sqrt 3) Im (F - omega W)^-1 b, one complex tridiagonal
+        factor.  An LU of the assembled H, whose F W^-1 F term squares the
+        condition of F, is far less accurate: at dim 3, n = 201 its relative
+        error is 9.3e-10, against 1.3e-13 here."""
         if isinstance(self.grid, Square2DGrid):
             if gram:
                 h2 = self.grid.h**2
@@ -326,9 +312,6 @@ class EllipticOperator:
             return spla.factorized(self.form[act, act].tocsc())
         lower, diag, upper = self._form_bands
         w = self.weights[act]
-        if self.kind == NEG_LAPLACIAN_PLUS_ID:
-            solve_f, solve_fw = _pt_solver(diag, upper), _pt_solver(diag + w, upper)
-            return lambda b: solve_fw(w * solve_f(b))
         omega = complex(-0.5, math.sqrt(0.75))
         solve_c = _gt_solver(lower, diag - omega * w, upper)
         return lambda b: (2.0 / math.sqrt(3.0)) * solve_c(b).imag
@@ -336,15 +319,15 @@ class EllipticOperator:
     @cached_property
     def form_solver(self):
         """Cached solve of the active form matrix."""
-        if not self.is_positive_definite:
-            raise RankDeficiencyError(
-                "pure-Neumann negative Laplacian is rank deficient (constants in kernel)"
-            )
         return self._solver(gram=False)
 
     @cached_property
     def gram_solver(self):
-        """Cached solve of the active H^2 Gram matrix (``H2Geometry.riesz``)."""
+        """Cached solve of the active H^2 Gram matrix (``H2Geometry.riesz``)
+        of a ``dirichlet-zero`` operator: the H^2 ball of the two Dirichlet
+        families is its only user, and its radial solve needs S = F."""
+        if self.bc != DIRICHLET_ZERO:
+            raise ValueError("the H^2 Gram solve serves the dirichlet-zero ball families only")
         return self._solver(gram=True)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -364,7 +347,7 @@ class EllipticOperator:
             out[1:] += flux
         else:
             out = self.stiffness @ v
-        if self.kind == NEG_LAPLACIAN_PLUS_ID:
+        if self.bc == NEUMANN_ZERO:
             out = out + self.weights * v
         result = np.zeros_like(out)
         result[self.active] = out[self.active] / self.weights[self.active]
@@ -416,15 +399,6 @@ class EllipticOperator:
         return x
 
 
-def _pt_solver(diag: np.ndarray, off: np.ndarray):
-    """Solve with the symmetric positive definite tridiagonal matrix of the
-    given bands by its LAPACK ``pttrf`` factor L D L^T, made once."""
-    d, e, info = sla.lapack.dpttrf(diag, off)
-    if info != 0:
-        raise np.linalg.LinAlgError("matrix is not positive definite")
-    return lambda b: sla.lapack.dpttrs(d, e, b)[0]
-
-
 def _gt_solver(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
     """Solve with the complex tridiagonal matrix of the given bands by its
     LAPACK ``gttrf`` factor (LU with partial pivoting), made once."""
@@ -443,16 +417,14 @@ def _read_only(*arrays) -> None:
         arr.flags.writeable = False
 
 
-def build_radial_laplacian(grid: RadialGrid, bc: str, kind: str = NEG_LAPLACIAN) -> EllipticOperator:
-    """Assemble the radial operator -u'' - (dim-1)/r u' (plus identity for
-    the ``neg-laplacian-plus-identity`` kind).
+def build_radial_laplacian(grid: RadialGrid, bc: str) -> EllipticOperator:
+    """Assemble the radial operator -u'' - (dim-1)/r u', plus the identity
+    under ``neumann-zero``.
 
     The stiffness form uses midpoint radial factors on each edge, which
     reproduces the symmetric ghost-point treatment of the center node
     (regularity u'(0) = 0) and the natural Neumann condition at r = 1.
     """
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
     n, h = grid.n, grid.h
     omega = sphere_area(grid.dim)
     mid = (np.arange(n - 1) + 0.5) * h
@@ -466,7 +438,6 @@ def build_radial_laplacian(grid: RadialGrid, bc: str, kind: str = NEG_LAPLACIAN)
     off = np.where(active[:-1] & active[1:], -c, 0.0)
     S = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
     return EllipticOperator(
-        kind=kind,
         grid=grid,
         bc=bc,
         weights=quadrature_weights(grid),
@@ -514,7 +485,6 @@ def build_2d_laplacian(grid: Square2DGrid) -> EllipticOperator:
     S.eliminate_zeros()
     active = np.ones(n, dtype=bool)
     return EllipticOperator(
-        kind=NEG_LAPLACIAN,
         grid=grid,
         bc=DIRICHLET_ZERO,
         weights=quadrature_weights(grid),

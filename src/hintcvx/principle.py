@@ -300,8 +300,6 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
             cert.box_bound = cone_box_bound(u0)
     except (DivergenceError, MPGError, MembershipError) as exc:
         cert.error = f"solve: {exc}"
-        if isinstance(exc, DivergenceError):
-            trace = exc.trace
         return cert, SolverReport(trace, "error")
 
     # stage i's last trace row holds u0's energy and VI residual

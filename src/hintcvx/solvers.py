@@ -14,10 +14,10 @@ one backtracking search (``_backtrack``) and differ only in the test that
 accepts a trial point:
 
 * Projected gradient (the ball families) takes an Armijo step over the
-  convex set: the trial must decrease the energy sufficiently.  The
-  metric-matched representative (h2 for balls, weighted-l2 for cones) is
-  kept as a fallback direction whenever the fast direction fails its line
-  search, so sufficient decrease is always available.
+  H^2 ball: the trial must decrease the energy sufficiently.  The ball's
+  own H^2 representative is kept as a fallback direction whenever the fast
+  direction fails its line search, so sufficient decrease is always
+  available.
 * Mountain pass (the Neumann-radial family) is ridge descent on the ray
   maximum: each trial point is projected onto the cone and rescaled to the
   maximum of the energy along its ray.  The trial is accepted when that
@@ -87,11 +87,7 @@ class IterationLimitError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Iteration produced a non-finite energy; carries the trace so far."""
-
-    def __init__(self, message: str, trace: "IterTrace"):
-        super().__init__(message)
-        self.trace = trace
+    """The starting point of stage i has a non-finite energy."""
 
 
 class MPGError(ValueError):
@@ -156,9 +152,9 @@ def linear_solve(op: EllipticOperator, rhs: GridFunction) -> GridFunction:
     descent directions), then takes one step of iterative
     refinement.  The contract is checked with the flux-form ``apply``, not
     the factor; ``floor`` is the rounding bound of that check itself
-    (``_residual_floor``).  A miss raises ``IterationLimitError``; a
-    rank-deficient operator raises ``RankDeficiencyError``.  Entries of rhs
-    at Dirichlet boundary nodes are ignored (the solution vanishes there).
+    (``_residual_floor``).  A miss raises ``IterationLimitError``.  Entries
+    of rhs at Dirichlet boundary nodes are ignored (the solution vanishes
+    there).
     """
     if rhs.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid than the operator")
@@ -181,13 +177,10 @@ def linear_solve(op: EllipticOperator, rhs: GridFunction) -> GridFunction:
     return GridFunction(op.grid, v, op.bc)
 
 
-def _descent_directions(spec: ProblemSpec, K: ConvexSet, g: np.ndarray):
-    """Fast Psi-form Riesz direction, then the projection-metric fallback."""
+def _descent_directions(spec: ProblemSpec, K: H2Ball, g: np.ndarray):
+    """Fast Psi-form Riesz direction, then the ball's H^2 fallback."""
     yield spec.operator.solve_form(g)
-    if isinstance(K, H2Ball):
-        yield K.geometry.riesz(g)
-    else:
-        yield g
+    yield K.geometry.riesz(g)
 
 
 def _backtrack(spec: ProblemSpec, K: ConvexSet, u: GridFunction, directions, accept, retract):
@@ -310,21 +303,23 @@ def _descend(
 
 
 def projected_gradient_minimize(
-    spec: ProblemSpec, K: ConvexSet, u_init: GridFunction, cfg: SolverConfig
+    spec: ProblemSpec, K: H2Ball, u_init: GridFunction, cfg: SolverConfig
 ) -> tuple[GridFunction, IterTrace]:
-    """Minimize I = Psi - Phi over K by projected gradient with Armijo
-    backtracking.
+    """Minimize I = Psi - Phi over the H^2 ball K by projected gradient with
+    Armijo backtracking.
 
     Iterates u_{k+1} = P_K(u_k - tau_k d_k) stay feasible and monotonically
     decrease the energy; the run stops when the VI residual drops below
     ``tol_residual``, on ``step`` when the accepted trial left the point
     unchanged, or at ``max_iters``.
     """
+    if not isinstance(K, H2Ball):
+        raise ValueError("projected gradient needs the H^2 ball constraint")
     if not contains(K, u_init, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("projected gradient must start inside the constraint set")
     value = energy(spec, u_init).total
     if not np.isfinite(value):
-        raise DivergenceError("initial energy is not finite", IterTrace())
+        raise DivergenceError("initial energy is not finite")
 
     def armijo_step(u, value, rho):
         g = energy_grad(spec, u)
@@ -390,7 +385,7 @@ def mountain_pass(
     except OverflowError:  # t* itself overflows
         value = float("inf")
     if not np.isfinite(value):
-        raise DivergenceError("the constant profile's ray maximum is past the float range", IterTrace())
+        raise DivergenceError("the constant profile's ray maximum is past the float range")
 
     def ridge_step(u, value, rho):
         direction = spec.operator.solve_form(energy_grad(spec, u))

@@ -176,6 +176,17 @@ class TestSolveCommand:
         assert cert["verdict"] != "certified"
         assert "window" in cert["detail"]
 
+    def test_rerun_leaves_no_stale_artifacts(self, tmp_path):
+        # an empty window writes no trace and no profile, so the first
+        # run's must not stay next to the second run's certificate
+        out = tmp_path / "out"
+        certified = write_config(tmp_path, base_config(out), "certified.json")
+        assert main(["solve", "--config", str(certified)]) == 0
+        assert (out / "trace.csv").exists() and (out / "profile.csv").exists()
+        empty = write_config(tmp_path, base_config(out, mu=2.0 * hx.mu_star(1.0, 4.0, 1.5)), "empty.json")
+        assert main(["solve", "--config", str(empty)]) == 2
+        assert [p.name for p in out.iterdir()] == ["certificate.json"]
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "a"))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0

@@ -44,12 +44,6 @@ class TestFenchelConjugate:
         four = hx.fenchel_conjugate_quadratic(op1d, ustar.with_values(2.0 * ustar.values))
         assert abs(four - 4.0 * one) <= 1e-9 * max(1.0, abs(one))
 
-    def test_pure_neumann_rejected(self, grid3d):
-        op = hx.build_radial_laplacian(grid3d, hx.NEUMANN_ZERO)
-        z = hx.GridFunction(grid3d, np.ones(grid3d.size), hx.NEUMANN_ZERO)
-        with pytest.raises(hx.RankDeficiencyError):
-            hx.fenchel_conjugate_quadratic(op, z)
-
 
 class TestDualityGap:
     def test_exact_zero_at_origin(self, op1d, grid1d):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hintcvx as hx
 from hintcvx.functionals import DegenerateInputError, FieldError, phi_hess
-from hintcvx.grid import NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID, weighted_inner
+from hintcvx.grid import weighted_inner
 from hintcvx.principle import mu_star, run_problem
 
 from conftest import random_dirichlet, random_neumann
@@ -297,7 +297,7 @@ class TestNormsAndEnergy:
 
 
 class TestOperatorSharing:
-    """ProblemSpec.operator builds one operator per (grid, bc, kind) and
+    """ProblemSpec.operator builds one operator per (grid, bc) and
     shares it, factors included, while its grid lives."""
 
     @pytest.mark.parametrize(
@@ -317,8 +317,11 @@ class TestOperatorSharing:
         a = hx.GridFunction(grid3d, 1.0 + grid3d.nodes, hx.NEUMANN_ZERO)
         cone = hx.ProblemSpec(family="neumann-radial", grid=grid3d, p=3.0, a=a)
         assert ball.operator is not cone.operator
-        assert (ball.operator.bc, ball.operator.kind) == (hx.DIRICHLET_ZERO, NEG_LAPLACIAN)
-        assert (cone.operator.bc, cone.operator.kind) == (hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID)
+        assert (ball.operator.bc, cone.operator.bc) == (hx.DIRICHLET_ZERO, hx.NEUMANN_ZERO)
+        # the bc fixes the kind: -Lap on the ball, -Lap + I on the cone
+        ones = np.ones(grid3d.size)
+        assert not ball.operator.apply(ones)[:-2].any()
+        assert np.array_equal(cone.operator.apply(ones), ones)
 
     def test_operator_lives_while_its_grid_lives(self, operator_counts):
         g = hx.RadialGrid(n=63, dim=1)

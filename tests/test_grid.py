@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.grid import NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID, sphere_area, weighted_inner, write_node_csv
+from hintcvx.grid import sphere_area, weighted_inner, write_node_csv
 from hintcvx.principle import mu_star, run_problem
 
 from conftest import random_dirichlet
@@ -140,16 +140,25 @@ class TestQuadrature:
 
 
 class TestRadialLaplacian:
-    def test_constants_in_neumann_kernel(self, grid3d):
-        op = hx.build_radial_laplacian(grid3d, hx.NEUMANN_ZERO)
-        out = op.apply(np.full(grid3d.size, 4.25))
-        assert np.max(np.abs(out)) == 0.0
+    def test_constants_in_neumann_kernel(self):
+        # the flux form puts constants exactly in the kernel of the
+        # Laplacian part: -Lap c is 0 away from the pinned node, where the
+        # assembled stiffness leaves rounding noise, and -Lap c + c is c
+        for n, dim in ((41, 3), (201, 3), (3201, 5)):
+            g = hx.RadialGrid(n=n, dim=dim)
+            c = np.full(n, 4.25)
+            lap = hx.build_radial_laplacian(g, hx.DIRICHLET_ZERO)
+            far = slice(0, n - 2)  # the nodes not next to the pinned node r = 1
+            assert not lap.apply(c)[far].any()
+            assert (lap.stiffness @ np.where(lap.active, c, 0.0))[far].any()
+            op = hx.build_radial_laplacian(g, hx.NEUMANN_ZERO)
+            assert np.array_equal(op.apply(c), (op.weights * c) / op.weights)
 
     def test_r_squared_dim3(self):
         # -Lap(r^2) = -2 dim = -6 in dimension 3
         g = hx.RadialGrid(n=101, dim=3)
         op = hx.build_radial_laplacian(g, hx.NEUMANN_ZERO)
-        out = op.apply(g.nodes**2)
+        out = op.apply(g.nodes**2) - g.nodes**2  # the Laplacian part
         interior = out[1:-1]
         assert np.max(np.abs(interior + 6.0)) <= 40 * g.h**2
 
@@ -165,7 +174,8 @@ class TestRadialLaplacian:
                 -np.pi * np.sin(np.pi * r)
             )
             exact[0] = 3 * np.pi**2  # limit of -N u''(0)
-            errs.append(np.max(np.abs(op.apply(u)[1:-1] - exact[1:-1])))
+            lap_u = op.apply(u) - u  # the Laplacian part
+            errs.append(np.max(np.abs(lap_u[1:-1] - exact[1:-1])))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.min(slopes) >= 1.8
 
@@ -192,14 +202,11 @@ class TestRadialLaplacian:
             assert quad >= -1e-10 * np.dot(u, u)
 
     def test_dirichlet_positive_definite_flag(self, grid3d):
-        lap_n = hx.build_radial_laplacian(grid3d, hx.NEUMANN_ZERO)
-        lap_d = hx.build_radial_laplacian(grid3d, hx.DIRICHLET_ZERO)
-        lap_id = hx.build_radial_laplacian(grid3d, hx.NEUMANN_ZERO, "neg-laplacian-plus-identity")
-        assert not lap_n.is_positive_definite
-        assert lap_d.is_positive_definite
-        assert lap_id.is_positive_definite
+        # -Lap under zero Dirichlet data and -Lap + I under zero Neumann
+        # data, the only two operators, are both positive definite
         rng = np.random.default_rng(8)
-        for op in (lap_d, lap_id):
+        for bc in (hx.DIRICHLET_ZERO, hx.NEUMANN_ZERO):
+            op = hx.build_radial_laplacian(grid3d, bc)
             u = rng.standard_normal(grid3d.size)
             u[~op.active] = 0.0
             assert weighted_inner(op.weights, op.apply(u), u) > 0.0
@@ -207,10 +214,6 @@ class TestRadialLaplacian:
     def test_unknown_bc_rejected(self, grid1d):
         with pytest.raises(ValueError):
             hx.build_radial_laplacian(grid1d, "robin")
-
-    def test_unknown_kind_rejected(self, grid1d):
-        with pytest.raises(ValueError):
-            hx.build_radial_laplacian(grid1d, hx.NEUMANN_ZERO, "biharmonic")
 
 
 class Test2DLaplacian:
@@ -272,7 +275,7 @@ class Test2DLaplacian:
     "op",
     [
         hx.build_radial_laplacian(hx.RadialGrid(n=9), hx.DIRICHLET_ZERO),
-        hx.build_radial_laplacian(hx.RadialGrid(n=9, dim=3), hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID),
+        hx.build_radial_laplacian(hx.RadialGrid(n=9, dim=3), hx.NEUMANN_ZERO),
         hx.build_2d_laplacian(hx.Square2DGrid(m=3)),
     ],
     ids=["radial-dirichlet", "radial-neumann-plus-identity", "square"],
@@ -323,36 +326,39 @@ class TestSineBasisSolves:
         [hx.build_2d_laplacian(hx.Square2DGrid(m=m)) for m in (2, 3, 12, 40)]  # 13 and 41 are prime
         + [
             hx.build_radial_laplacian(hx.RadialGrid(n=41), hx.DIRICHLET_ZERO),
-            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID),
+            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.DIRICHLET_ZERO),
+            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO),
         ],
-        ids=["2", "3", "12", "40", "radial-dim1-dirichlet", "radial-dim3-neumann"],
+        ids=["2", "3", "12", "40", "radial-dim1-dirichlet", "radial-dim3-dirichlet", "radial-dim3-neumann"],
     )
     def test_form_and_gram_match_sparse_solves(self, op):
         # both systems go through the operator's one backend: the sine basis
         # on the square; on radial grids sparse LU for the form and banded
-        # factors of F for the Gram matrix.  The references are refined in
-        # extended precision: an LU of the assembled Gram matrix alone is
-        # off by 2.4e-10 relative at dim 3, n = 41.
-        geo = hx.H2Geometry(op)
+        # factors of F for the Gram matrix, which only a dirichlet-zero
+        # operator has.  The references are refined in extended precision:
+        # an LU of the assembled Gram matrix alone is off by 9.3e-10
+        # relative at dim 3, n = 201.
         idx = np.flatnonzero(op.active)
         b = np.random.default_rng(op.grid.size).standard_normal(op.grid.size)
         w = op.weights[idx]
-        F, S = op.form[np.ix_(idx, idx)], op.stiffness[np.ix_(idx, idx)]
-        gram = sp.diags(w) + S + F @ sp.diags(1.0 / w) @ F
-        F_ld, S_ld, w_ld = _matvec_ld(F), _matvec_ld(S), w.astype(np.longdouble)
-        x_ref = _refined_solve(F, F_ld, w * b[idx])
-        y_ref = _refined_solve(gram, lambda y: w_ld * y + S_ld(y) + F_ld(F_ld(y) / w_ld), w * b[idx])
-        x, y = op.solve_form(b), geo.riesz(b)
-        for sol, ref in ((x, x_ref), (y, y_ref)):
+        F = op.form[np.ix_(idx, idx)]
+        F_ld = _matvec_ld(F)
+        solves = [(op.solve_form(b), _refined_solve(F, F_ld, w * b[idx]))]
+        if op.bc == hx.DIRICHLET_ZERO:
+            S = op.stiffness[np.ix_(idx, idx)]
+            gram = sp.diags(w) + S + F @ sp.diags(1.0 / w) @ F
+            S_ld, w_ld = _matvec_ld(S), w.astype(np.longdouble)
+            y_ref = _refined_solve(gram, lambda y: w_ld * y + S_ld(y) + F_ld(F_ld(y) / w_ld), w * b[idx])
+            solves.append((hx.H2Geometry(op).riesz(b), y_ref))
+        for sol, ref in solves:
             assert np.linalg.norm(sol[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
             assert not sol[~op.active].any()
 
-    @pytest.mark.parametrize("kind", [NEG_LAPLACIAN, NEG_LAPLACIAN_PLUS_ID])
     @pytest.mark.parametrize("n, dim", [(3, 1), (4, 1), (3, 3), (4, 3), (5, 1)], ids=["1", "2", "2-dim3", "3-dim3", "3"])
-    def test_gram_solve_on_few_active_nodes(self, n, dim, kind):
+    def test_gram_solve_on_few_active_nodes(self, n, dim):
         # one to three active nodes, where the complex factor's LAPACK
         # wrapper needs its own path; a dense solve is exact enough here
-        op = hx.build_radial_laplacian(hx.RadialGrid(n=n, dim=dim), hx.DIRICHLET_ZERO, kind)
+        op = hx.build_radial_laplacian(hx.RadialGrid(n=n, dim=dim), hx.DIRICHLET_ZERO)
         idx = np.flatnonzero(op.active)
         w = op.weights[idx]
         F = op.form[np.ix_(idx, idx)].toarray()
@@ -363,12 +369,19 @@ class TestSineBasisSolves:
         assert np.linalg.norm(y[idx] - ref) <= 1e-14 * np.linalg.norm(ref)
         assert not y[~op.active].any()
 
+    def test_gram_solve_serves_dirichlet_operators_only(self):
+        # the radial Gram solve takes S = F, which -Lap + I breaks, and no
+        # family asks for it under zero Neumann data
+        op = hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO)
+        with pytest.raises(ValueError, match="dirichlet-zero"):
+            op.gram_solver
+
     @pytest.mark.parametrize(
         "op",
         [
             hx.build_radial_laplacian(hx.RadialGrid(n=41), hx.DIRICHLET_ZERO),
             hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.DIRICHLET_ZERO),
-            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO, NEG_LAPLACIAN_PLUS_ID),
+            hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO),
             hx.build_radial_laplacian(hx.RadialGrid(n=3), hx.DIRICHLET_ZERO),
         ],
         ids=["radial-dim1-dirichlet", "radial-dim3-dirichlet", "radial-dim3-neumann", "one-active-node"],
