@@ -19,7 +19,6 @@ from .grid import (
     quadrature_weights,
 )
 from .functionals import (
-    EnergyBreakdown,
     H2Geometry,
     ProblemSpec,
     energy,
@@ -64,7 +63,6 @@ __all__ = [
     "Certificate",
     "DivergenceError",
     "EllipticOperator",
-    "EnergyBreakdown",
     "GridFunction",
     "H2Ball",
     "H2Geometry",

@@ -180,16 +180,12 @@ def build_solver_config(doc, path: str = "solver") -> SolverConfig:
     doc = _require_mapping(doc, path)
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     _check_keys(doc, fields, set(), path)
-    kwargs = {}
+    # every solver key is an integer
     for key, val in doc.items():
-        if key in ("max_iters", "seed"):
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{path}.{key}", f"expected an integer, got {val!r}")
-            kwargs[key] = val
-        else:
-            kwargs[key] = _number(doc, key, path)
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ConfigError(f"{path}.{key}", f"expected an integer, got {val!r}")
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(**doc)
     except FieldError as exc:
         raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
 

@@ -27,10 +27,6 @@ from .grid import EllipticOperator, GridFunction, weighted_inner
 BOX_FACTOR = 10.0
 
 
-def _psi_of(op: EllipticOperator, values: np.ndarray) -> float:
-    return 0.5 * float(values @ (op.form @ values))
-
-
 def fenchel_conjugate_quadratic(op: EllipticOperator, ustar: GridFunction) -> float:
     """Conjugate of the quadratic form: Psi*(u*) = 1/2 <A^-1 u*, u*>_w,
     finite for every u* because A (``-Lap`` or ``-Lap + I``) is positive
@@ -51,7 +47,7 @@ def duality_gap(op: EllipticOperator, u: GridFunction, ustar: GridFunction) -> f
     pairing = weighted_inner(op.weights, ustar.values, u.values)
     if not np.isfinite(pairing):
         raise ValueError("dual pairing is not finite")
-    return _psi_of(op, u.values) + fenchel_conjugate_quadratic(op, ustar) - pairing
+    return op.quadratic_form(u.values) + fenchel_conjugate_quadratic(op, ustar) - pairing
 
 
 def biconjugate_value(op: EllipticOperator, u: GridFunction) -> float:
@@ -105,4 +101,5 @@ def equality10_defect(op: EllipticOperator, u0: GridFunction, v0: GridFunction) 
     if u0.grid != op.grid or v0.grid != op.grid:
         raise ValueError("both functions must live on the operator's grid")
     av0 = op.form @ v0.values  # = W (A v0)
-    return abs(_psi_of(op, v0.values) - _psi_of(op, u0.values) - float(av0 @ (v0.values - u0.values)))
+    psi_v0, psi_u0 = op.quadratic_form(v0.values), op.quadratic_form(u0.values)
+    return abs(psi_v0 - psi_u0 - float(av0 @ (v0.values - u0.values)))

@@ -1,13 +1,14 @@
 """Energies, their derivatives, and norms for the three problem families.
 
-Every family splits its energy as I(u) = Psi(u) - Phi(u) with Psi the
-quadratic form of the family's elliptic operator:
+Every family's energy is I(u) = Psi(u) - Phi(u), with Psi the quadratic
+form of its elliptic operator (``EllipticOperator.quadratic_form``) and
 
-* ``concave-convex``: Psi = 1/2 int |grad u|^2, Phi = 1/p int |u|^p
-  + mu/q int |u|^q, zero Dirichlet data.
-* ``nonhomogeneous``: Psi as above, Phi = 1/p int |u|^p + int f u.
-* ``neumann-radial``: Psi = 1/2 int (|grad u|^2 + u^2),
-  Phi = 1/p int a |u|^p on the unit ball with Neumann data.
+    Phi(u) = int a |u|^p / p + mu |u|^q / q + f u,
+
+of which a family keeps its own terms: mu for ``concave-convex``, f for
+``nonhomogeneous``, a for ``neumann-radial`` (absent, a = 1, mu = 0 and
+f = 0).  ``ProblemSpec`` enforces that split, so the functions here read
+the terms, never the family.
 
 Gradients are returned as grid functions representing the derivative in
 the quadrature-weighted pairing: ``<grad, h>_w`` equals the directional
@@ -17,6 +18,7 @@ derivative for every admissible direction h.
 from __future__ import annotations
 
 import copy
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -90,20 +92,20 @@ class ProblemSpec:
     _last_grads: tuple[tuple[GridFunction, np.ndarray], ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        # comparisons are written so that NaN fails them
+        # comparisons are written so that NaN and infinities fail them
         if self.family not in FAMILIES:
             raise FieldError("family", f"unknown family {self.family!r}; expected one of {FAMILIES}")
         dim = self.grid.dim if isinstance(self.grid, RadialGrid) else 2
-        if not self.p > 2.0:
-            raise FieldError("p", f"p must exceed 2, got p={self.p}")
+        if not 2.0 < self.p < math.inf:
+            raise FieldError("p", f"p must be finite and exceed 2, got p={self.p}")
         if self.family in BALL_FAMILIES and self.p >= _p_star(dim):
             raise FieldError(
                 "p", f"p={self.p} violates the embedding bound p < {_p_star(dim)} at dim={dim}"
             )
-        if not self.C1 > 0.0:
-            raise FieldError("C1", f"C1 must be positive, got C1={self.C1}")
-        if self.r is not None and not self.r > 0.0:
-            raise FieldError("r", f"constraint radius must be positive, got r={self.r}")
+        if not 0.0 < self.C1 < math.inf:
+            raise FieldError("C1", f"C1 must be positive and finite, got C1={self.C1}")
+        if self.r is not None and not 0.0 < self.r < math.inf:
+            raise FieldError("r", f"constraint radius must be positive and finite, got r={self.r}")
 
         takes = {CONCAVE_CONVEX: ("q", "mu"), NONHOMOGENEOUS: ("f",), NEUMANN_RADIAL: ("a",)}
         # mu = 0 counts as not given
@@ -114,8 +116,8 @@ class ProblemSpec:
         if self.family == CONCAVE_CONVEX:
             if self.q is None or not (1.0 < self.q < 2.0):
                 raise FieldError("q", f"q must lie in (1, 2), got q={self.q}")
-            if not self.mu >= 0.0:
-                raise FieldError("mu", f"mu must be nonnegative, got mu={self.mu}")
+            if not 0.0 <= self.mu < math.inf:
+                raise FieldError("mu", f"mu must be nonnegative and finite, got mu={self.mu}")
         elif self.family == NONHOMOGENEOUS:
             if self.f is None:
                 raise FieldError("f", "nonhomogeneous family needs a forcing f")
@@ -203,8 +205,7 @@ def _check_space(spec: ProblemSpec, u: GridFunction) -> None:
 def psi_value(spec: ProblemSpec, u: GridFunction) -> float:
     """Quadratic part 1/2 <A u, u>_w of the family energy."""
     _check_space(spec, u)
-    v = u.values
-    return 0.5 * float(v @ (spec.operator.form @ v))
+    return spec.operator.quadratic_form(u.values)
 
 
 def psi_grad(spec: ProblemSpec, u: GridFunction) -> GridFunction:
@@ -224,46 +225,41 @@ def _power_term(v: np.ndarray, expo: float) -> np.ndarray:
 
 
 def phi_value(spec: ProblemSpec, u: GridFunction) -> float:
-    """Family-specific nonquadratic energy Phi(u)."""
+    """Nonquadratic energy Phi(u) = int a |u|^p / p + mu |u|^q / q + f u."""
     _check_grid(spec, u)
-    w = spec.weights
-    v = u.values
-    p = spec.p
-    if spec.family == CONCAVE_CONVEX:
-        val = np.dot(w, np.abs(v) ** p) / p
+    w, v = spec.weights, u.values
+    power = np.abs(v) ** spec.p
+    if spec.a is not None:
+        power = spec.a.values * power
+    val = np.dot(w, power) / spec.p
+    if spec.mu > 0.0:
+        val += spec.mu * np.dot(w, np.abs(v) ** spec.q) / spec.q
+    if spec.f is not None:
+        val += weighted_inner(w, spec.f.values, v)
+    return float(val)
+
+
+def _phi_prime(spec: ProblemSpec, v: np.ndarray) -> np.ndarray:
+    """Values of Phi'(v) = a |v|^(p-2) v + mu |v|^(q-2) v + f, zero at the
+    operator's pinned nodes (no admissible variation moves them)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _power_term(v, spec.p)
+        if spec.a is not None:
+            out = spec.a.values * out
         if spec.mu > 0.0:
-            val += spec.mu * np.dot(w, np.abs(v) ** spec.q) / spec.q
-        return float(val)
-    if spec.family == NONHOMOGENEOUS:
-        return float(np.dot(w, np.abs(v) ** p) / p + weighted_inner(w, spec.f.values, v))
-    return float(np.dot(w, spec.a.values * np.abs(v) ** p) / p)
+            out = out + spec.mu * _power_term(v, spec.q)
+        if spec.f is not None:
+            out = out + spec.f.values
+    if not np.isfinite(out).all():
+        raise DegenerateInputError("nonlinearity produced non-finite values (exponent overflow)")
+    return np.where(spec.operator.active, out, 0.0)
 
 
 def phi_grad(spec: ProblemSpec, u: GridFunction) -> GridFunction:
-    """Node-wise derivative of Phi in the weighted pairing.
-
-    Dirichlet boundary entries are projected to zero so the output lives in
-    the same constrained space as u (boundary directions are not
-    admissible variations there).
-    """
+    """Node-wise derivative of Phi in the weighted pairing, in the same
+    constrained space as u (Dirichlet boundary entries are zero)."""
     _check_grid(spec, u)
-    v = u.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.family == CONCAVE_CONVEX:
-            out = _power_term(v, spec.p)
-            if spec.mu > 0.0:
-                out = out + spec.mu * _power_term(v, spec.q)
-        elif spec.family == NONHOMOGENEOUS:
-            out = _power_term(v, spec.p) + spec.f.values
-        else:
-            out = spec.a.values * _power_term(v, spec.p)
-    if not np.isfinite(out).all():
-        raise DegenerateInputError("nonlinearity produced non-finite values (exponent overflow)")
-    bnd = spec.grid.boundary_indices(spec.bc)
-    if bnd.size:
-        out = out.copy()
-        out[bnd] = 0.0
-    return GridFunction(spec.grid, out, u.bc)
+    return GridFunction(spec.grid, _phi_prime(spec, u.values), u.bc)
 
 
 def phi_hess(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
@@ -280,11 +276,11 @@ def phi_hess(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     out = np.zeros_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
         out[nz] = (spec.p - 1.0) * v[nz] ** (spec.p - 2.0)
-        if spec.family == CONCAVE_CONVEX and spec.mu > 0.0:
-            out[nz] += spec.mu * (spec.q - 1.0) * v[nz] ** (spec.q - 2.0)
-        if spec.family == NEUMANN_RADIAL:
+        if spec.a is not None:
             out *= spec.a.values
-    out[spec.grid.boundary_indices(spec.bc)] = 0.0
+        if spec.mu > 0.0:
+            out[nz] += spec.mu * (spec.q - 1.0) * v[nz] ** (spec.q - 2.0)
+    out[~spec.operator.active] = 0.0
     return out
 
 
@@ -301,29 +297,24 @@ def energy_grad(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     for v, g in spec._last_grads:
         if v is u:
             return g
-    g = psi_grad(spec, u).values - phi_grad(spec, u).values
+    _check_space(spec, u)
+    au = spec.operator.apply(u.values)
+    if not np.isfinite(au).all():  # the check psi_grad's grid function makes
+        raise ValueError("grid function values must be finite")
+    g = au - _phi_prime(spec, u.values)
     g.flags.writeable = False
     spec._last_grads = ((u, g), *spec._last_grads[:1])
     return g
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    psi: float
-    phi: float
-    total: float
+def energy(spec: ProblemSpec, u: GridFunction) -> float:
+    """I(u) = Psi(u) - Phi(u).
 
-
-def energy(spec: ProblemSpec, u: GridFunction) -> EnergyBreakdown:
-    """I(u) = Psi(u) - Phi(u), assembled exactly from the two evaluations.
-
-    A point whose energy overflows gets a non-finite total, without a
+    A point whose energy overflows gets a non-finite value, without a
     warning; callers test ``np.isfinite`` on it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = psi_value(spec, u)
-        phi = phi_value(spec, u)
-        return EnergyBreakdown(psi=psi, phi=phi, total=psi - phi)
+        return psi_value(spec, u) - phi_value(spec, u)
 
 
 class H2Geometry:

@@ -330,6 +330,10 @@ class EllipticOperator:
             raise ValueError("the H^2 Gram solve serves the dirichlet-zero ball families only")
         return self._solver(gram=True)
 
+    def quadratic_form(self, values: np.ndarray) -> float:
+        """Psi(v) = 1/2 <A v, v>_w = 1/2 v^T form v."""
+        return 0.5 * float(values @ (self.form @ values))
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Pointwise operator values A u (zero at inactive nodes).
 

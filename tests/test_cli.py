@@ -68,9 +68,7 @@ class TestSolveCommand:
         assert code == 1
         assert "problem.smoothing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "section, key, value", [("problem", "r", float("nan")), ("solver", "tol_residual", float("inf"))]
-    )
+    @pytest.mark.parametrize("section, key, value", [("problem", "r", float("nan"))])
     def test_non_finite_number_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "out")
         doc[section][key] = value
@@ -79,12 +77,16 @@ class TestSolveCommand:
         assert f"{section}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key", ["cg_tol", "cg_max_iters", "path_nodes", "step0", "armijo_c", "armijo_shrink", "tol_step", "emit"]
+        "key",
+        ["cg_tol", "cg_max_iters", "path_nodes", "step0", "armijo_c", "armijo_shrink", "tol_step", "tol_residual", "emit"],
     )
     def test_removed_cg_keys_rejected(self, tmp_path, capsys, key):
         # each value was a valid setting where the key still existed; emit
         # was a top-level block of output switches
-        values = {"cg_tol": 1e-9, "step0": 1.0, "armijo_c": 1e-4, "armijo_shrink": 0.5, "tol_step": 1e-13}
+        values = {
+            "cg_tol": 1e-9, "step0": 1.0, "armijo_c": 1e-4, "armijo_shrink": 0.5, "tol_step": 1e-13,
+            "tol_residual": 1e-10,
+        }
         doc = base_config(tmp_path / "out")
         if key == "emit":
             section, doc["emit"] = "config", {"certificate": True, "trace": True, "profile": True}

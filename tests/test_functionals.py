@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.functionals import DegenerateInputError, FieldError, phi_hess
+from hintcvx.functionals import DegenerateInputError, FieldError, energy_grad, phi_hess
 from hintcvx.grid import weighted_inner
 from hintcvx.principle import mu_star, run_problem
 
@@ -20,6 +20,14 @@ def bounded_dirichlet(grid, seed):
     vals = rng.uniform(0.1, 1.1, grid.size) * rng.choice([-1.0, 1.0], grid.size)
     vals[grid.boundary_indices(hx.DIRICHLET_ZERO)] = 0.0
     return hx.GridFunction(grid, vals, hx.DIRICHLET_ZERO)
+
+
+# each family's own terms of Phi, on a radial grid
+FAMILY_TERMS = {
+    "concave-convex": lambda g: {"q": 1.5, "mu": 0.1},
+    "nonhomogeneous": lambda g: {"f": hx.GridFunction(g, np.cos(np.pi * g.nodes), hx.NEUMANN_ZERO)},
+    "neumann-radial": lambda g: {"a": hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)},
+}
 
 
 class TestProblemSpecValidation:
@@ -69,6 +77,16 @@ class TestProblemSpecValidation:
         params = {"p": 4.0, "q": 1.5, "mu": 0.1, "C1": 1.0, "r": 0.5, name: float("nan")}
         with pytest.raises(FieldError) as err:
             hx.ProblemSpec(family="concave-convex", grid=grid1d, **params)
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("name", ["p", "mu", "C1", "r"])
+    @pytest.mark.parametrize("family", ["concave-convex", "nonhomogeneous", "neumann-radial"])
+    def test_infinity_rejected_with_field(self, grid1d, family, name):
+        # p = inf once passed as supercritical on the cone and failed the
+        # ball's embedding bound at dim 1, which has none
+        params = {"p": 4.0, "C1": 1.0, "r": 0.5, **FAMILY_TERMS[family](grid1d), name: float("inf")}
+        with pytest.raises(FieldError) as err:
+            hx.ProblemSpec(family=family, grid=grid1d, **params)
         assert err.value.field == name
 
 
@@ -247,6 +265,44 @@ class TestPhi:
         assert hess[0] == hess[5] == hess[-1] == 0.0
         assert (hess[vals != 0.0] > 0.0).all()
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", list(FAMILY_TERMS))
+    def test_matches_family_expression_bitwise(self, family, seed):
+        # Phi, Phi', Phi'' and I' read the spec's terms, never the family;
+        # each must equal its family's own formula, rounding included
+        g = hx.RadialGrid(n=41, dim=3)
+        spec = hx.ProblemSpec(family=family, grid=g, p=4.5, **FAMILY_TERMS[family](g))
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(g.size)
+        v[rng.random(g.size) < 0.2] = 0.0
+        v[~spec.operator.active] = 0.0
+        u = spec.function(v)
+        w, p, av, nz = spec.weights, spec.p, np.abs(v), v != 0.0
+        with np.errstate(divide="ignore"):
+            if family == "concave-convex":
+                mu, q = spec.mu, spec.q
+                phi = float(np.dot(w, av**p) / p + mu * np.dot(w, av**q) / q)
+                sub = np.zeros_like(v)
+                sub[nz] = av[nz] ** (q - 2.0) * v[nz]
+                grad = av ** (p - 2.0) * v + mu * sub
+                hess = np.where(nz, (p - 1.0) * av ** (p - 2.0) + mu * (q - 1.0) * av ** (q - 2.0), 0.0)
+            elif family == "nonhomogeneous":
+                f = spec.f.values
+                phi = float(np.dot(w, av**p) / p + np.dot(w * f, v))
+                grad = av ** (p - 2.0) * v + f
+                hess = np.where(nz, (p - 1.0) * av ** (p - 2.0), 0.0)
+            else:
+                a = spec.a.values
+                phi = float(np.dot(w, a * av**p) / p)
+                grad = a * (av ** (p - 2.0) * v)
+                hess = a * np.where(nz, (p - 1.0) * av ** (p - 2.0), 0.0)
+        grad = np.where(spec.operator.active, grad, 0.0)
+        hess = np.where(spec.operator.active, hess, 0.0)
+        assert hx.phi_value(spec, u) == phi
+        assert np.array_equal(hx.phi_grad(spec, u).values, grad)
+        assert np.array_equal(phi_hess(spec, u), hess)
+        assert np.array_equal(energy_grad(spec, u), spec.operator.apply(v) - grad)
+
 
 class TestNormsAndEnergy:
     def test_zero_function_norms(self, cc_spec):
@@ -283,17 +339,14 @@ class TestNormsAndEnergy:
 
     def test_energy_identity_bitwise(self, cc_spec):
         u = random_dirichlet(cc_spec.grid, 13, scale=0.3)
-        br = hx.energy(cc_spec, u)
-        assert br.total == br.psi - br.phi
-        assert br.psi == hx.psi_value(cc_spec, u)
-        assert br.phi == hx.phi_value(cc_spec, u)
+        assert hx.energy(cc_spec, u) == hx.psi_value(cc_spec, u) - hx.phi_value(cc_spec, u)
 
     def test_energy_overflow_is_non_finite_without_warning(self, nr_spec):
         u = nr_spec.function(np.full(nr_spec.grid.size, 1e200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            total = hx.energy(nr_spec, u).total
-        assert not np.isfinite(total)
+            value = hx.energy(nr_spec, u)
+        assert not np.isfinite(value)
 
 
 class TestOperatorSharing:

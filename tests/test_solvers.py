@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import NonlinearConstraint, minimize
@@ -95,6 +97,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             hx.SolverConfig(max_iters=0)
 
+    def test_tol_residual_is_a_constant(self):
+        assert hx.SolverConfig().tol_residual == hx.SolverConfig.tol_residual == 1e-10
+        with pytest.raises(TypeError):
+            hx.SolverConfig(tol_residual=1e-6)
+
 
 class TestProjectedGradient:
     def test_stationary_start_returns_immediately(self, grid1d):
@@ -118,7 +125,7 @@ class TestProjectedGradient:
         spec = hx.ProblemSpec(family="concave-convex", grid=g, p=4.0, q=1.5, mu=0.2)
         K = hx.H2Ball(0.3, spec.geometry)
         u0, trace = hx.projected_gradient_minimize(spec, K, ball_start(spec, K.r), hx.SolverConfig())
-        assert hx.energy(spec, u0).total < 0.0
+        assert hx.energy(spec, u0) < 0.0
         l2 = np.sqrt(weighted_inner(spec.weights, u0.values, u0.values))
         assert l2 > 1e-5
 
@@ -140,7 +147,7 @@ class TestProjectedGradient:
         r = 0.3
         K = hx.H2Ball(r, spec.geometry)
         u0, _ = hx.projected_gradient_minimize(spec, K, ball_start(spec, r), hx.SolverConfig())
-        e_pgd = hx.energy(spec, u0).total
+        e_pgd = hx.energy(spec, u0)
 
         rng = np.random.default_rng(99)
         z = rng.standard_normal((200_000, 3))
@@ -221,7 +228,7 @@ class TestMountainPass:
                 continue
             nrm = nr_spec.geometry.h2_norm(raw)
             u = nr_spec.function(raw * (1e-2 / nrm))
-            assert hx.energy(nr_spec, u).total > 0.0
+            assert hx.energy(nr_spec, u) > 0.0
 
     def test_mpg_violation_rejected(self, grid3d):
         # a = 0: I(t u) = t^2 Psi(u) grows along every ray, so there is no
@@ -253,6 +260,19 @@ class TestMountainPass:
         K = hx.MonotoneCone(grid1d, spec.weights)
         with pytest.raises(ValueError):
             hx.mountain_pass(spec, K, hx.SolverConfig())
+
+    @pytest.mark.parametrize("dim, p", [(1, 5000.0), (3, 15000.0)])
+    def test_large_p_certifies_a_positive_profile(self, dim, p):
+        # some ridge trials' Phi overflows here; rescaled by t* = 0 they
+        # once made the zero profile a certified critical point
+        g = hx.RadialGrid(n=41, dim=dim)
+        a = hx.GridFunction(g, 1.0 + g.nodes, hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="neumann-radial", grid=g, p=p, a=a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert, _ = hx.run_problem(spec)
+        assert cert.verdict == "certified"
+        assert cert.u0.values.min() > 0.0 and cert.mountain_pass_value > 0.0
 
     def test_converges_with_positive_path_value(self, nr_spec):
         K = hx.MonotoneCone(nr_spec.grid, nr_spec.weights)
@@ -323,7 +343,7 @@ class TestTermination:
         assert trace.reason == "max_iters"
         assert len(trace) == 2
         assert trace.rows[-1][0] == 1
-        assert trace.rows[-1][1] == hx.energy(spec, u).total
+        assert trace.rows[-1][1] == hx.energy(spec, u)
 
     def test_no_acceptable_trial_stalls_the_line_search(self, run, monkeypatch):
         monkeypatch.setattr(solvers, "MAX_BACKTRACKS", 0)
