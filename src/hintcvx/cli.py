@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -309,8 +310,8 @@ def cmd_probe_lambda(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"probe: {exc}", file=sys.stderr)
         return 1
-    # lam is always an amplitude the probe evaluated; 2 lam is one when the
-    # probe never certified past PROBE_S_START or never failed
+    # lam is always an amplitude the probe evaluated; 2 lam is one only by
+    # chance (lam = 0, or a doubling step that failed), so it is run here
     verdicts = dict(evaluations)
     at_2lam = verdicts.get(2.0 * lam)
     if at_2lam is None:
@@ -335,7 +336,14 @@ def _configure_logging() -> None:
     logging.basicConfig(level=levels.get(level_name, logging.ERROR), stream=sys.stderr)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the
+    process, since building it costs more than a parse; every caller gets
+    the same parser, so none may change it.  Each subcommand's ``func``
+    looks its ``cmd_*`` function up when it runs, not when the parser was
+    built, so a ``cmd_*`` replaced on the module later is the one that
+    runs."""
     parser = argparse.ArgumentParser(
         prog="hintcvx",
         description="solve and certify constrained semilinear elliptic problems",
@@ -346,19 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", required=True, help="path to the JSON run configuration")
     p_solve.add_argument("--out", default=None, help="output directory (overrides config)")
     p_solve.add_argument("--seed", type=int, default=None, help="override the solver seed")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=lambda args: cmd_solve(args))
 
     p_window = sub.add_parser("window", help="print the radius window and mu_star")
     p_window.add_argument("--C1", type=float, required=True)
     p_window.add_argument("--mu", type=float, required=True)
     p_window.add_argument("--p", type=float, required=True)
     p_window.add_argument("--q", type=float, required=True)
-    p_window.set_defaults(func=cmd_window)
+    p_window.set_defaults(func=lambda args: cmd_window(args))
 
     p_probe = sub.add_parser("probe-lambda", help="find the forcing amplitude threshold")
     p_probe.add_argument("--config", required=True, help="nonhomogeneous run configuration")
     p_probe.add_argument("--seed", type=int, default=None, help="override the solver seed")
-    p_probe.set_defaults(func=cmd_probe_lambda)
+    p_probe.set_defaults(func=lambda args: cmd_probe_lambda(args))
     return parser
 
 

@@ -37,17 +37,25 @@ def fenchel_conjugate_quadratic(op: EllipticOperator, ustar: GridFunction) -> fl
     return 0.5 * weighted_inner(op.weights, x, ustar.values)
 
 
-def duality_gap(op: EllipticOperator, u: GridFunction, ustar: GridFunction) -> float:
+def duality_gap(
+    op: EllipticOperator, u: GridFunction, ustar: GridFunction, solution: GridFunction | None = None
+) -> float:
     """Fenchel-Young gap Psi(u) + Psi*(u*) - <u, u*>_w.
 
-    Nonnegative up to solver rounding; zero exactly when u* = A u.
+    Nonnegative up to solver rounding; zero exactly when u* = A u.  A
+    caller that has already solved A x = u* passes x as ``solution``, and
+    Psi*(u*) = 1/2 <x, u*>_w then costs no solve.
     """
     if u.grid != ustar.grid:
         raise ValueError("dual pair must share one grid")
     pairing = weighted_inner(op.weights, ustar.values, u.values)
     if not np.isfinite(pairing):
         raise ValueError("dual pairing is not finite")
-    return op.quadratic_form(u.values) + fenchel_conjugate_quadratic(op, ustar) - pairing
+    if solution is None:
+        conj = fenchel_conjugate_quadratic(op, ustar)
+    else:
+        conj = 0.5 * weighted_inner(op.weights, solution.values, ustar.values)
+    return op.quadratic_form(u.values) + conj - pairing
 
 
 def biconjugate_value(op: EllipticOperator, u: GridFunction) -> float:
@@ -96,10 +104,10 @@ def equality10_defect(op: EllipticOperator, u0: GridFunction, v0: GridFunction) 
     """Defect |Psi(v0) - Psi(u0) - <A v0, v0 - u0>_w|.
 
     For the quadratic Psi this equals 1/2 ||v0 - u0||_A^2, so a vanishing
-    defect pins u0 = v0 in the operator seminorm.
+    defect pins u0 = v0 in the operator seminorm.  It is evaluated in that
+    form, 1/2 d^T F d with d = u0 - v0, which is >= 0 and carries no
+    cancellation between the three terms.
     """
     if u0.grid != op.grid or v0.grid != op.grid:
         raise ValueError("both functions must live on the operator's grid")
-    av0 = op.form @ v0.values  # = W (A v0)
-    psi_v0, psi_u0 = op.quadratic_form(v0.values), op.quadratic_form(u0.values)
-    return abs(psi_v0 - psi_u0 - float(av0 @ (v0.values - u0.values)))
+    return op.quadratic_form(u0.values - v0.values)

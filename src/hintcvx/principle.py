@@ -50,7 +50,8 @@ DEFAULT_TOL_STRONG = 1e-6
 VERDICT_CERTIFIED = "certified"
 VERDICT_STEP_II_FAILED = "step-ii-failed"
 VERDICT_NOT_CRITICAL = "not-critical"
-# forcing_threshold_probe: first amplitude; reach, as doublings of it; the
+# forcing_threshold_probe: the scale of its reach, and of its resolution
+# while only s = 0 is certified; the reach, as doublings of that scale; the
 # largest growth per step before the first failure; and the width of the
 # final bracket relative to lambda_hat
 PROBE_S_START = 1e-2
@@ -182,10 +183,13 @@ def step_ii_verify(spec: ProblemSpec, K: ConvexSet, u0: GridFunction) -> tuple[G
 
     The returned diagnostics hold both sides of the a-priori regularity
     chain ||v0||_h2 <= C1 (||u0||_h2^(p-1) + mu ||u0||_h2^(q-1)); the
-    membership test itself is the binding certificate.
+    membership test itself is the binding certificate.  They also hold the
+    two energy certificates: ``eq10_defect`` and ``duality_gap`` at
+    u* = Phi'(u0), whose Psi*(u*) = 1/2 <v0, u*>_w comes from this solve.
     """
+    op = spec.operator
     rhs = phi_grad(spec, u0)
-    v0 = linear_solve(spec.operator, rhs)
+    v0 = linear_solve(op, rhs)
     # u0's norm first: stage i's last trace row has just asked for it
     u0_h2 = spec.geometry.norm(u0)
     in_k = contains(K, v0, DEFAULT_MEMBERSHIP_TOL)
@@ -195,7 +199,13 @@ def step_ii_verify(spec: ProblemSpec, K: ConvexSet, u0: GridFunction) -> tuple[G
         chain = spec.C1 * (np.float64(u0_h2) ** (spec.p - 1.0))
     if spec.q is not None and spec.mu > 0.0:
         chain += spec.C1 * spec.mu * u0_h2 ** (spec.q - 1.0)
-    diag = {"u0_h2": u0_h2, "v0_h2": v0_h2, "chain_bound": float(chain)}
+    diag = {
+        "u0_h2": u0_h2,
+        "v0_h2": v0_h2,
+        "chain_bound": float(chain),
+        "eq10_defect": equality10_defect(op, u0, v0),
+        "duality_gap": duality_gap(op, u0, rhs, solution=v0),
+    }
     return v0, in_k, diag
 
 
@@ -314,8 +324,8 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
         cert.u0_h2_norm = diag["u0_h2"]
         cert.v0_h2_norm = diag["v0_h2"]
         cert.strong_residual = strong_residual(spec, u0)
-        cert.eq10_defect = equality10_defect(spec.operator, u0, v0)
-        cert.duality_gap = duality_gap(spec.operator, u0, phi_grad(spec, u0))
+        cert.eq10_defect = diag["eq10_defect"]
+        cert.duality_gap = diag["duality_gap"]
     except (IterationLimitError, ValueError) as exc:
         cert.error = f"step-ii: {exc}"
         return cert, SolverReport(trace, trace.reason)
@@ -390,14 +400,16 @@ def forcing_threshold_probe(
 
     The threshold is where v0 leaves the ball: the root of the membership
     margin m(s) = r + tol - ||v0(s)||_h2, which every run's certificate
-    holds and which is nearly linear below the root.
+    holds and which is nearly linear below the root.  At s = 0 both u0 and
+    v0 vanish, so m(0) = r + tol is known without a run, and m falls from
+    there with slope ||A^-1 f_dir||_h2 (one solve with the form's cached
+    factor).  The first run is at the root of that line.
 
     Until certification first fails, s moves to the root of the secant
     through the last two margins (doubling instead when the last such step
     did not halve the distance to that root), growing by at most
-    PROBE_GROWTH per step from PROBE_S_START and never past
-    PROBE_S_START * 2^PROBE_DOUBLINGS (when that certifies too, a warning,
-    and that amplitude is the result).
+    PROBE_GROWTH per step and never past PROBE_S_START * 2^PROBE_DOUBLINGS
+    (when that certifies too, a warning, and that amplitude is the result).
 
     Inside the bracket [certified, failed] it takes secant steps on the
     last two margins that agree with their verdicts, kept inside the
@@ -410,8 +422,9 @@ def forcing_threshold_probe(
     ball), the next step backs away from that end, twice as far as the one
     before, up to the midpoint.  It stops once the bracket is no wider than
     PROBE_RESOLUTION * lambda_hat (PROBE_RESOLUTION * PROBE_S_START while
-    only s = 0 has certified) and returns its certified end, an amplitude
-    it evaluated.
+    only s = 0 is certified) and returns its certified end.  That is always
+    an amplitude it evaluated: s = 0 is run only when the search ends
+    there, and a failure of that run is an internal error.
 
     Certification is assumed monotone in s within a run; observed flips
     are logged as warnings (and visible in ``trace_out``, the (s, certified)
@@ -419,9 +432,12 @@ def forcing_threshold_probe(
     """
     cfg = cfg or SolverConfig()
     evaluations = trace_out if trace_out is not None else []
+    margin0 = r + DEFAULT_MEMBERSHIP_TOL
+    unit = _amplitude_spec(spec_template, r, 1.0)
+    slope = unit.geometry.h2_norm(unit.operator.solve_form(unit.f.values))
     # (s, margin) of the last two amplitudes whose margin agrees with the
     # verdict; the secant steps go through these
-    nodes: list[tuple[float, float]] = []
+    nodes: list[tuple[float, float]] = [(0.0, margin0)]
 
     def run(s: float) -> tuple[bool, bool]:
         """Verdict at s, and whether its margin agrees with it."""
@@ -438,12 +454,9 @@ def forcing_threshold_probe(
         (s0, m0), (s1, m1) = nodes
         return s1 + m1 * (s1 - s0) / (m0 - m1)
 
-    ok, lo_usable = run(0.0)
-    if not ok:
-        raise RuntimeError("pipeline failed to certify the zero forcing; internal error")
-
     s_max = PROBE_S_START * 2.0**PROBE_DOUBLINGS
-    lo, s = 0.0, PROBE_S_START
+    lo, lo_usable = 0.0, True
+    s = min(margin0 / slope, s_max) if slope > 0.0 else s_max
     last_gap = math.inf  # the last step's length, when it went to the secant's root
     while True:
         ok, usable = run(s)
@@ -498,6 +511,9 @@ def forcing_threshold_probe(
             lo, lo_usable = s, usable
         else:
             hi, hi_usable = s, usable
+
+    if lo == 0.0 and not run(0.0)[0]:
+        raise RuntimeError("pipeline failed to certify the zero forcing; internal error")
 
     flips = non_monotone_flips(evaluations)
     if flips:

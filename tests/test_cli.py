@@ -382,6 +382,18 @@ class TestProbeLambdaCommand:
         assert doc["certified_at_lambda"] is True
         assert doc["certified_at_2lambda"] is False
 
+    def test_parser_built_once_and_dispatch_late_bound(self, tmp_path, capsys, monkeypatch):
+        # the parser is kept across main calls, yet a cmd_* replaced on the
+        # module after it was built is the one that runs
+        cli.build_parser.cache_clear()
+        assert main(["window", "--C1", "1", "--mu", "0", "--p", "3", "--q", "1.5"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_probe_lambda", lambda args: seen.append(args.config) or 7)
+        cfg = str(self.nonhomogeneous_config(tmp_path))
+        assert main(["probe-lambda", "--config", cfg]) == 7
+        assert seen == [cfg]
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_family_mismatch_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(tmp_path / "out"))
         code = main(["probe-lambda", "--config", str(cfg)])

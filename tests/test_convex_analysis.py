@@ -78,6 +78,19 @@ class TestDualityGap:
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=1e-6)
         assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=1e-6)
 
+    def test_known_solution_replaces_the_solve(self, op1d, grid1d, monkeypatch):
+        # with x = A^-1 u* given, Psi*(u*) = 1/2 <x, u*>_w and no solve runs
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            u = random_dirichlet(grid1d, rng.integers(1 << 30))
+            ustar = random_dirichlet(grid1d, rng.integers(1 << 30))
+            x = ustar.with_values(op1d.solve_form(ustar.values))
+            solved = hx.duality_gap(op1d, u, ustar)
+            with monkeypatch.context() as m:
+                m.setattr(hx.EllipticOperator, "solve_form", None)
+                given = hx.duality_gap(op1d, u, ustar, solution=x)
+            assert given == pytest.approx(solved, rel=1e-12, abs=1e-12)
+
     def test_rejects_grid_mismatch_and_non_finite_pairing(self, op1d, grid1d):
         u = random_dirichlet(grid1d, 0)
         other = hx.RadialGrid(n=9, dim=1)

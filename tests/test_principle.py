@@ -516,14 +516,44 @@ class TestForcingProbe:
         assert lams[0] > lams[1] > lams[2] > 0.0
 
     def test_probe_builds_one_operator(self, operator_counts):
-        # every amplitude's spec shares the template's operator and factors
+        # every amplitude's spec shares the template's operator and factors,
+        # and so does the slope that places the first amplitude
         builds, factors = operator_counts
         spec = self.make_template()
         evals = []
         hx.forcing_threshold_probe(spec, 0.5, hx.SolverConfig(), trace_out=evals)
-        assert len(evals) == 7
+        assert len(evals) == 4
         assert len(builds) == 1
         assert sorted(factors) == [False, True]
+
+    @staticmethod
+    def linear_root(spec, r):
+        """Root of the margin's tangent at s = 0: (r + tol) / ||A^-1 f_dir||_h2,
+        f_dir the unit-l2 direction of the template's forcing."""
+        f = spec.f.values
+        f_dir = f / math.sqrt(weighted_inner(spec.weights, f, f))
+        slope = spec.geometry.h2_norm(spec.operator.solve_form(f_dir))
+        return (r + convex_sets.DEFAULT_MEMBERSHIP_TOL) / slope
+
+    def test_first_amplitude_is_the_linear_root(self, monkeypatch):
+        # m(0) = r + tol needs no run; the first run is where the margin's
+        # tangent at 0 crosses zero, and a positive lambda_hat never runs s = 0
+        spec = self.make_template()
+        self.model_pipeline(monkeypatch, lambda s: (s <= 0.3, 0.5 + (s - 0.3)))
+        evals = []
+        hx.forcing_threshold_probe(spec, 0.5, hx.SolverConfig(), trace_out=evals)
+        assert evals[0][0] == pytest.approx(self.linear_root(spec, 0.5), rel=1e-14)
+        assert 0.0 not in dict(evals)
+
+    def test_zero_forcing_failure_is_an_internal_error(self, monkeypatch):
+        # nothing certifies, not even s = 0: the search ends at 0 and its
+        # run there raises
+        self.model_pipeline(monkeypatch, lambda s: (False, 1.0))
+        evals = []
+        with pytest.raises(RuntimeError, match="internal error"):
+            hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        assert evals[-1] == (0.0, False)
+        assert len(evals) > 1 and all(s > 0.0 for s, _ in evals[:-1])
 
     @staticmethod
     def check_bracket(evals, lam):
@@ -549,24 +579,29 @@ class TestForcingProbe:
 
     def test_first_amplitude_fails(self):
         # lambda_hat ~ 4.74e-3 lies below PROBE_S_START; the bisection took 26
-        # pipelines (0, 1e-2 and 24 halvings) and returned 0.004742395878
+        # pipelines (0, 1e-2 and 24 halvings) and returned 0.004742395878.
+        # The margin is concave, so its tangent's root overshoots lambda_hat
         spec = self.make_template(n=201)
         evals = []
         lam = hx.forcing_threshold_probe(spec, 0.005, hx.SolverConfig(), trace_out=evals)
-        assert evals[:2] == [(0.0, True), (PROBE_S_START, False)]
-        assert len(evals) <= 26
+        assert evals[0] == (pytest.approx(self.linear_root(spec, 0.005), rel=1e-14), False)
+        assert len(evals) <= 4
         self.check_bracket(evals, lam)
         assert min(s for s, ok in evals if not ok) - lam <= PROBE_RESOLUTION * PROBE_S_START
         assert lam == pytest.approx(0.004742395878, rel=1e-7)
 
     def test_nothing_positive_certifies(self, monkeypatch):
-        # lambda_hat = 0 ends at the absolute width PROBE_S_START * PROBE_RESOLUTION
+        # lambda_hat = 0 ends at the absolute width PROBE_S_START * PROBE_RESOLUTION;
+        # from the first amplitude, ~0.474, that is 30 halvings, and then the
+        # one run at s = 0 that makes lambda_hat an evaluated amplitude
         self.model_pipeline(monkeypatch, lambda s: (s == 0.0, 0.0 if s == 0.0 else 1.0))
         evals = []
         lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
         assert lam == 0.0
         self.check_bracket(evals, lam)
-        assert len(evals) <= 27
+        assert evals[-1] == (0.0, True)
+        assert [s for s, _ in evals].count(0.0) == 1
+        assert len(evals) <= 32
 
     def test_never_fails(self, monkeypatch, caplog):
         self.model_pipeline(monkeypatch, lambda s: (True, 0.0))
@@ -577,8 +612,9 @@ class TestForcingProbe:
         assert lam == max(s for s, _ in evals) == reach
         assert all(ok for _, ok in evals)
         assert "never failed" in caplog.text
-        # s = 0, then 1e-2 * 8^k for k = 0..13, then the reach
-        assert len(evals) == 16
+        # the linear root s1 ~ 0.474, then s1 * 8^k for k = 1..11, then the reach
+        s1 = self.linear_root(self.make_template(), 0.5)
+        assert [s for s, _ in evals] == [s1 * 8.0**k for k in range(12)] + [reach]
 
     @pytest.mark.parametrize("certified_h2, failed_h2", [(None, None), (1.0, 0.0)], ids=["missing", "wrong-sign"])
     def test_unusable_margins_bisect(self, monkeypatch, certified_h2, failed_h2):
@@ -589,9 +625,11 @@ class TestForcingProbe:
         lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
         self.check_bracket(evals, lam)
         assert lam == pytest.approx(0.3, rel=PROBE_RESOLUTION)
-        # past the first failure every amplitude is the bracket's midpoint
+        # past the first failure every amplitude is the bracket's midpoint;
+        # the bracket's certified end is s = 0 when nothing ran below it
         first_fail = next(i for i, (_, ok) in enumerate(evals) if not ok)
-        lo, hi = evals[first_fail - 1][0], evals[first_fail][0]
+        lo = max([0.0] + [s for s, ok in evals[:first_fail] if ok])
+        hi = evals[first_fail][0]
         for s, ok in evals[first_fail + 1:]:
             assert s == 0.5 * (lo + hi)
             lo, hi = (s, hi) if ok else (lo, s)
@@ -662,7 +700,7 @@ class TestForcingProbe:
         evals = []
         lam = hx.forcing_threshold_probe(spec, r, cfg, trace_out=evals)
         assert lam == pytest.approx(bisected, rel=1e-7)
-        assert len(evals) <= 16
+        assert len(evals) <= 4
         self.check_bracket(evals, lam)
         assert dict(evals)[lam] is True
         assert not certified_at_amplitude(spec, r, cfg, 2.0 * lam)
