@@ -44,7 +44,10 @@ def duality_gap(
 
     Nonnegative up to solver rounding; zero exactly when u* = A u.  A
     caller that has already solved A x = u* passes x as ``solution``, and
-    Psi*(u*) = 1/2 <x, u*>_w then costs no solve.
+    Psi*(u*) then costs no solve: it is the Fenchel-Young value
+    <x, u*>_w - Psi(x), which is exact at x = A^-1 u* and, as that x
+    maximizes <v, u*>_w - Psi(v), off by only 1/2 ||x - A^-1 u*||_A^2,
+    second order in the solve's error.
     """
     if u.grid != ustar.grid:
         raise ValueError("dual pair must share one grid")
@@ -54,7 +57,7 @@ def duality_gap(
     if solution is None:
         conj = fenchel_conjugate_quadratic(op, ustar)
     else:
-        conj = 0.5 * weighted_inner(op.weights, solution.values, ustar.values)
+        conj = weighted_inner(op.weights, solution.values, ustar.values) - op.quadratic_form(solution.values)
     return op.quadratic_form(u.values) + conj - pairing
 
 

@@ -25,7 +25,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -183,30 +183,234 @@ class GridFunction:
 
 def write_node_csv(path, grid: Grid, columns: dict) -> None:
     """Write one CSV row per node: the node coordinates (``coord`` on radial
-    grids, ``x,y`` on the square), then the named value columns.  Cells are
-    plain ``repr(float)`` numbers; a column given as ``None`` is left empty."""
+    grids, ``x,y`` on the square), then the named value columns, each
+    given as one value per node or as ``None`` for an empty column.
+
+    Every number cell is ``repr(float(value))``, the shortest string that
+    reads back as the same double, and the file is byte for byte what
+    ``csv.writer`` makes of those strings.  The cells come from
+    ``_repr_frames``, ``_CSV_BLOCK`` rows at a time."""
+    coord_names = ["coord"] if isinstance(grid, RadialGrid) else ["x", "y"]
+    values = [None if col is None else np.asarray(col, dtype=float) for col in columns.values()]
     if isinstance(grid, RadialGrid):
-        header = ["coord"]
-        cells = [_repr_cells(grid.nodes)]
+        block = _CSV_BLOCK
     else:
         # node k = j m + i sits at (x_i, y_j), so both coordinate columns
-        # are made of the m axis cells: x cycles through them, y repeats
-        # each one m times
-        m = grid.m
-        axis = _repr_cells(grid.nodes[0][:m])
-        header = ["x", "y"]
-        cells = [axis * m, [c for c in axis for _ in range(m)]]
-    cells += [[""] * grid.size if c is None else _repr_cells(c) for c in columns.values()]
-    # the numbers need no quoting, so rows are joined by hand with
-    # csv.writer's "\r\n" terminator
+        # are made of the m axis cells, and a block is whole lines of j
+        axis = _repr_frames(grid.nodes[0][: grid.m])
+        block = max(_CSV_BLOCK // grid.m, 1) * grid.m
+    width = len(coord_names) + len(values)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header + list(columns))
-        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        csv.writer(fh).writerow(coord_names + list(columns))
+        for start in range(0, grid.size, block):
+            stop = min(start + block, grid.size)
+            rows = np.zeros((stop - start, width), dtype=_CELL)
+            if isinstance(grid, RadialGrid):
+                rows[:, 0] = _repr_frames(grid.nodes[start:stop])
+            else:
+                lines = rows.reshape(-1, grid.m, width)
+                lines[:, :, 0] = axis
+                lines[:, :, 1] = axis[start // grid.m : stop // grid.m, None]
+            for c, col in enumerate(values, start=len(coord_names)):
+                if col is not None:
+                    rows[:, c] = _repr_frames(col[start:stop])
+            # a cell's last two bytes are NUL until here: end each cell with
+            # csv.writer's delimiter, or the row with its "\r\n" terminator
+            cells = rows.view(np.uint8).reshape(stop - start, width, _CELL.itemsize)
+            cells[:, :, -1] = ord(",")
+            cells[:, -1, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def _repr_cells(values) -> list[str]:
-    # a list's repr formats every float with repr(float) in one C call
-    return repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
+# nodes formatted and written at a time, which bounds the writer's scratch
+# arrays; the square's blocks are whole grid lines
+_CSV_BLOCK = 4096
+# one formatted cell with NUL padding: a repr takes at most 24 bytes, a
+# fast-path layout 28, and the last two are kept free for a separator
+_CELL = np.dtype("V32")
+# distance, in units of the 17th significant digit, within which the fast
+# path calls a rounding decision too close and leaves the cell to repr
+_REPR_MARGIN = 1e-6
+# the fast path takes e = floor(log10 |v|) in [-6, 16], where 10^(16 - e) is
+# an exact double; its layouts span one more, as rounding up to 10^17
+# carries e to 17
+_FAST_LOW, _FAST_HIGH = -6, 16
+_LAYOUT_EXPONENTS = range(_FAST_LOW, _FAST_HIGH + 2)
+_POW10 = np.array([float(10**j) for j in range(23)])
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+_MANTISSA = np.uint64((1 << 52) - 1)
+_EXPONENT = np.uint64(0x7FF << 52)
+
+
+def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split doubles into two halves of at most 26 significant bits, so
+    the products of halves are exact (Dekker, Numer. Math. 18 (1971))."""
+    c = 134217729.0 * v  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _layout(neg: bool, e: int, k: int) -> bytes:
+    """repr's layout of a number with sign ``neg``, decimal exponent e and
+    k significant digits, as a ``_CELL`` template for ``_lay_out``.
+
+    ``_lay_out`` writes digit 0 into byte 6 and ands digit i into byte
+    7 + i, for i = 1 to 16, where the template holds 0xFF to keep it or 0
+    to drop it; every other byte is the template's.  repr writes
+    ``0.000ddd``, ``d.ddd`` and ``ddd.ddd`` or ``ddd00.0`` for
+    -4 <= e < 16, and ``d.ddde-XX`` otherwise.  For e >= 1 the point falls
+    among the digits: ``_lay_out`` moves digits 1 to e one byte down and
+    puts it after them."""
+    cell = bytearray(_CELL.itemsize)
+    cell[0] = ord("-") if neg else 0
+    if e < -4 or e >= 16:
+        shown, point = k, k > 1
+        cell[24:28] = b"e%+03d" % e
+    elif e < 0:
+        shown, point = k, False
+        cell[1 : 2 - e] = b"0.000"[: 1 - e]
+    else:
+        # at least one digit follows the point
+        shown, point = max(k, e + 2), e == 0
+    cell[7] = ord(".") if point else 0
+    cell[8 : 7 + shown] = b"\xff" * (shown - 1)
+    return bytes(cell)
+
+
+@cache
+def _repr_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII four-digit groups 0000-9999 as uint32 items, and the
+    ``_layout`` of every sign, fast-path exponent and digit count 1-17, in
+    that order of nesting."""
+    t = np.arange(10000)
+    groups = np.stack([t // 1000, t // 100 % 10, t // 10 % 10, t % 10], axis=1) + ord("0")
+    layouts = b"".join(
+        _layout(neg, e, k) for neg in (False, True) for e in _LAYOUT_EXPONENTS for k in range(1, 18)
+    )
+    return groups.astype(np.uint8).view(np.uint32).ravel(), np.frombuffer(layouts, dtype=_CELL)
+
+
+def _repr_frames(values: np.ndarray) -> np.ndarray:
+    """``repr(float(v))`` of every entry of a float array, one ``_CELL``
+    item each: its characters in order with NUL bytes among and after
+    them, so dropping the NUL bytes leaves the repr.
+
+    The fast path (``_shortest_decimals``, ``_lay_out``) covers |v| in
+    [1e-6, 1e17) but for powers of two, whose gap below is half the gap
+    above; the other cells, and those the fast path cannot decide, take
+    repr itself."""
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(a))
+    done = np.flatnonzero(
+        (e >= _FAST_LOW) & (e <= _FAST_HIGH) & (a.view(np.uint64) & _MANTISSA != 0)
+    )
+    N, e, k, ok = _shortest_decimals(a[done], e[done].astype(np.int64))
+    done = done[ok]
+    cells = _lay_out(x[done] < 0, N[ok], e[ok], k[ok])
+    if done.size == x.size:
+        return cells
+    out = np.zeros(x.size, dtype=_CELL)
+    out[done] = cells
+    slow = np.ones(x.size, dtype=bool)
+    slow[done] = False
+    out[slow] = np.array([repr(v) for v in x[slow].tolist()], dtype=f"S{_CELL.itemsize}").view(_CELL)
+    return out
+
+
+def _shortest_decimals(a: np.ndarray, e: np.ndarray):
+    """repr's digits of positive doubles a with e = floor(log10 a) in
+    [-6, 16]: the digits as the integer N in [10^16, 10^17) whose leading
+    k digits they are, the decimal exponent, k, and whether the cell was
+    decided (else it is left to repr).
+
+    repr is the shortest decimal that reads back as a, and the one nearest
+    to a if several are as short (Gay's shortest mode, which CPython
+    uses).  V = a 10^(16-e) lies in [10^16, 10^17) and is the exact sum
+    H + f of an integer and a fraction, by Dekker's product, since
+    10^(16-e) is an exact double.  The decimals that read back as a lie
+    within g of V, half the gap between doubles at a times 10^(16-e),
+    which is exact because 5^22 < 2^53, and exceeds 1/2.  Let
+    (top - width, top] be the integers within g.  The shortest decimal has
+    17 - t digits for the largest t with a multiple of 10^t among them, and
+    it is the multiple of 10^t nearest to V.  A cell within
+    ``_REPR_MARGIN`` of a boundary or a tie in these decisions is left
+    undecided, as is one whose e log10 misjudged.
+    """
+    scale = _POW10[16 - e]
+    hi = a * scale
+    a_hi, a_lo = _veltkamp_split(a)
+    s_hi, s_lo = _veltkamp_split(scale)
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    lo_int = np.floor(lo)
+    f = lo - lo_int
+    H = hi.astype(np.int64) + lo_int.astype(np.int64)
+    # half the gap between doubles at a: 2^-53 times a's power of two
+    g = (a.view(np.uint64) & _EXPONENT).view(np.float64) * (scale * 2.0**-53)
+    up, down = np.floor(f + g), np.floor(f - g)
+    ok = (
+        (H >= 10**16)
+        & (H < 10**17)
+        & (np.abs(f + g - up - 0.5) < 0.5 - _REPR_MARGIN)
+        & (np.abs(f - g - down - 0.5) < 0.5 - _REPR_MARGIN)
+    )
+    top = H + up.astype(np.int64)
+    width = (up - down).astype(np.int64)
+    # a multiple of 10^(t+1) is one of 10^t, so t counts the powers that
+    # fit; few cells get past t = 2
+    tens = top - top // 10 * 10 < width
+    hundreds = top - top // 100 * 100 < width
+    t = tens + hundreds.astype(np.int64)
+    live = np.flatnonzero(hundreds)
+    for power in range(3, 18):
+        rem = top[live] - top[live] // 10**power * 10**power
+        live = live[rem < width[live]]
+        if not live.size:
+            break
+        t[live] += 1
+    step = _POW10_INT[t]
+    q = H // step
+    rest = (H - q * step) + f
+    ok &= np.abs(rest - 0.5 * step) >= _REPR_MARGIN
+    N = (q + (rest > 0.5 * step)) * step
+    # N = 10^17 is one digit with the exponent one higher
+    carry = t == 17
+    N[carry] = 10**16
+    return N, e + carry, 17 - t + carry, ok
+
+
+def _lay_out(neg: np.ndarray, N: np.ndarray, e: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``_CELL`` items of repr's text for the signs, digits, exponents and
+    digit counts ``_shortest_decimals`` gives: each cell's ``_layout``
+    with digit 0 at byte 6 and digit i at byte 7 + i where it keeps them."""
+    groups, layouts = _repr_tables()
+    index = (neg * len(_LAYOUT_EXPONENTS) + (e - _FAST_LOW)) * 17 + (k - 1)
+    cells = np.take(layouts, index)
+    lead = N // 10**16
+    high = N // 10**8
+    low = N - high * 10**8
+    high -= lead * 10**8
+    quads = np.empty((N.size, 4), dtype=np.int64)
+    quads[:, 0] = high // 10**4
+    quads[:, 1] = high - quads[:, 0] * 10**4
+    quads[:, 2] = low // 10**4
+    quads[:, 3] = low - quads[:, 2] * 10**4
+    # digits 1-16 fill bytes 8-23, the cell's 64-bit words 1 and 2, where a
+    # layout byte is 0xFF or 0, so the bitwise and keeps or drops each
+    words = cells.view(np.uint64).reshape(N.size, 4)
+    digits = np.take(groups, quads).view(np.uint64)
+    words[:, 1] &= digits[:, 0]
+    words[:, 2] &= digits[:, 1]
+    text = cells.view(np.uint8).reshape(N.size, _CELL.itemsize)
+    text[:, 6] = lead + ord("0")
+    inner = np.flatnonzero((e >= 1) & (e < 16))
+    for p in np.unique(e[inner]).tolist():
+        # the point goes after digit p: digits 1 to p move one byte down
+        rows = inner[e[inner] == p]
+        text[rows, 7 : 7 + p] = text[rows, 8 : 8 + p]
+        text[rows, 7 + p] = ord(".")
+    return cells
 
 
 def quadrature_weights(grid: Grid) -> np.ndarray:

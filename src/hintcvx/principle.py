@@ -50,10 +50,10 @@ DEFAULT_TOL_STRONG = 1e-6
 VERDICT_CERTIFIED = "certified"
 VERDICT_STEP_II_FAILED = "step-ii-failed"
 VERDICT_NOT_CRITICAL = "not-critical"
-# forcing_threshold_probe: the scale of its reach, and of its resolution
-# while only s = 0 is certified; the reach, as doublings of that scale; the
-# largest growth per step before the first failure; and the width of the
-# final bracket relative to lambda_hat
+# forcing_threshold_probe: the scale of its reach; the reach, as doublings
+# of that scale; the largest growth per step before the first failure; and
+# the width of the final bracket relative to lambda_hat (to the first
+# amplitude while only s = 0 is certified)
 PROBE_S_START = 1e-2
 PROBE_DOUBLINGS = 40
 PROBE_GROWTH = 8.0
@@ -185,7 +185,8 @@ def step_ii_verify(spec: ProblemSpec, K: ConvexSet, u0: GridFunction) -> tuple[G
     chain ||v0||_h2 <= C1 (||u0||_h2^(p-1) + mu ||u0||_h2^(q-1)); the
     membership test itself is the binding certificate.  They also hold the
     two energy certificates: ``eq10_defect`` and ``duality_gap`` at
-    u* = Phi'(u0), whose Psi*(u*) = 1/2 <v0, u*>_w comes from this solve.
+    u* = Phi'(u0), whose Psi*(u*) = <v0, u*>_w - Psi(v0) comes from this
+    solve.
     """
     op = spec.operator
     rhs = phi_grad(spec, u0)
@@ -421,10 +422,11 @@ def forcing_threshold_probe(
     flips short of the margin's root, say a not-critical run with v0 in the
     ball), the next step backs away from that end, twice as far as the one
     before, up to the midpoint.  It stops once the bracket is no wider than
-    PROBE_RESOLUTION * lambda_hat (PROBE_RESOLUTION * PROBE_S_START while
-    only s = 0 is certified) and returns its certified end.  That is always
-    an amplitude it evaluated: s = 0 is run only when the search ends
-    there, and a failure of that run is an internal error.
+    PROBE_RESOLUTION * lambda_hat (PROBE_RESOLUTION times the first
+    amplitude, the problem's own scale, while only s = 0 is certified) and
+    returns its certified end.  That is always an amplitude it evaluated:
+    s = 0 is run only when the search ends there, and a failure of that
+    run is an internal error.
 
     Certification is assumed monotone in s within a run; observed flips
     are logged as warnings (and visible in ``trace_out``, the (s, certified)
@@ -456,7 +458,7 @@ def forcing_threshold_probe(
 
     s_max = PROBE_S_START * 2.0**PROBE_DOUBLINGS
     lo, lo_usable = 0.0, True
-    s = min(margin0 / slope, s_max) if slope > 0.0 else s_max
+    s = s1 = min(margin0 / slope, s_max) if slope > 0.0 else s_max
     last_gap = math.inf  # the last step's length, when it went to the secant's root
     while True:
         ok, usable = run(s)
@@ -485,7 +487,7 @@ def forcing_threshold_probe(
     widths: list[float] = []
     last_ok = False
     gallop = 0
-    while hi - lo > PROBE_RESOLUTION * (lo if lo > 0.0 else PROBE_S_START):
+    while hi - lo > PROBE_RESOLUTION * (lo if lo > 0.0 else s1):
         mid = 0.5 * (lo + hi)
         s = secant_root()
         aimed = True

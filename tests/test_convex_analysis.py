@@ -79,7 +79,7 @@ class TestDualityGap:
         assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=1e-6)
 
     def test_known_solution_replaces_the_solve(self, op1d, grid1d, monkeypatch):
-        # with x = A^-1 u* given, Psi*(u*) = 1/2 <x, u*>_w and no solve runs
+        # with x = A^-1 u* given, Psi*(u*) = <x, u*>_w - Psi(x) and no solve runs
         rng = np.random.default_rng(3)
         for _ in range(20):
             u = random_dirichlet(grid1d, rng.integers(1 << 30))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hintcvx as hx
-from hintcvx.grid import sphere_area, weighted_inner, write_node_csv
+from hintcvx.grid import _repr_frames, sphere_area, weighted_inner, write_node_csv
 from hintcvx.principle import mu_star, run_problem
 
 from conftest import random_dirichlet
@@ -93,6 +93,7 @@ class TestGridFunction:
     )
     def test_node_csv_bytes_match_csv_writer(self, tmp_path, grid):
         specials = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, -1.5, 0.1]
+        specials += [1e-5, 9.999999999999999e-05, 1e16, 2.0**-20, 1.5e-310]
         value = np.resize(specials, grid.size)
         path = tmp_path / "u.csv"
         write_node_csv(path, grid, {"value": value, "empty": None})
@@ -104,6 +105,106 @@ class TestGridFunction:
             writer.writerow((["coord"] if len(coords) == 1 else ["x", "y"]) + ["value", "empty"])
             writer.writerows(zip(*cells))
         assert path.read_bytes() == ref.read_bytes()
+
+
+def join_writer(path, grid, columns):
+    """The join-based writer ``write_node_csv`` replaced, kept as the
+    reference for its bytes: every cell through repr, rows joined by hand."""
+
+    def cells(values):
+        return repr(np.asarray(values, dtype=float).tolist())[1:-1].split(", ")
+
+    if isinstance(grid, hx.RadialGrid):
+        header, coords = ["coord"], [cells(grid.nodes)]
+    else:
+        axis = cells(grid.nodes[0][: grid.m])
+        header, coords = ["x", "y"], [axis * grid.m, [c for c in axis for _ in range(grid.m)]]
+    body = coords + [[""] * grid.size if c is None else cells(c) for c in columns.values()]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header + list(columns))
+        fh.write("\r\n".join(map(",".join, zip(*body))) + "\r\n")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        hx.ProblemSpec(family="concave-convex", grid=hx.Square2DGrid(m=223), p=4.0, q=1.5, mu=0.1),
+        hx.ProblemSpec(
+            family="neumann-radial",
+            grid=hx.RadialGrid(n=3201, dim=3),
+            p=4.0,
+            a=hx.GridFunction(hx.RadialGrid(n=3201, dim=3), 1.0 + np.linspace(0.0, 1.0, 3201), hx.NEUMANN_ZERO),
+        ),
+    ],
+    ids=["square-223", "radial-3201"],
+)
+def test_profile_bytes_match_the_join_writer(tmp_path, spec):
+    cert, _ = run_problem(spec)
+    columns = {"u0": cert.u0.values, "v0": cert.v0.values}
+    write_node_csv(tmp_path / "new.csv", spec.grid, columns)
+    join_writer(tmp_path / "old.csv", spec.grid, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def repr_cells(values) -> list[str]:
+    """The cells ``_repr_frames`` formats, NUL bytes dropped."""
+    text = _repr_frames(np.asarray(values, dtype=float)).view(np.uint8).reshape(len(values), -1).copy()
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii").splitlines()
+
+
+def assert_reprs(values):
+    got = repr_cells(values)
+    want = [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, f"{len(bad)} cells differ from repr, e.g. {bad[:5]}"
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+@settings(max_examples=500, deadline=None)
+def test_repr_frames_match_repr_on_any_double(values):
+    # every double: subnormals, +-0, +-inf and nan included
+    assert_reprs(values)
+
+
+@given(
+    st.lists(
+        st.floats(min_value=1e-6, max_value=1e17) | st.floats(min_value=-1e17, max_value=-1e-6),
+        min_size=1,
+        max_size=64,
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_repr_frames_match_repr_in_the_fast_range(values):
+    assert_reprs(values)
+
+
+def test_repr_frames_match_repr_in_bulk():
+    rng = np.random.default_rng(20261020)
+    n = 150_000
+    neighbours = []
+    for centre in [10.0**e for e in range(-6, 18)] + [2.0**e for e in range(-20, 57)]:
+        for direction in (-math.inf, math.inf):
+            x = centre
+            for _ in range(8):
+                x = math.nextafter(x, direction)
+                neighbours.append(x)
+        neighbours.append(centre)
+    samples = [
+        rng.random(n),
+        rng.random(n) * 1e-4,
+        rng.random(n) * 1e-6,
+        np.exp(rng.uniform(-300.0, 300.0, n) * math.log(10.0)) * rng.choice([-1.0, 1.0], n),
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        rng.integers(-(2**40), 2**40, n) / 2.0 ** rng.integers(0, 60, n),
+        # short decimals: few significant digits at every exponent
+        np.array([float(f"{d}e{e}") for d, e in zip(rng.integers(1, 10**6, n), rng.integers(-12, 20, n))]),
+        -rng.random(n),
+        np.array(neighbours),
+    ]
+    values = np.concatenate(samples)
+    assert values.size >= 10**6
+    assert_reprs(values)
 
 
 class TestQuadrature:
