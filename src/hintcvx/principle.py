@@ -406,27 +406,29 @@ def forcing_threshold_probe(
     there with slope ||A^-1 f_dir||_h2 (one solve with the form's cached
     factor).  The first run is at the root of that line.
 
-    Until certification first fails, s moves to the root of the secant
-    through the last two margins (doubling instead when the last such step
-    did not halve the distance to that root), growing by at most
-    PROBE_GROWTH per step and never past PROBE_S_START * 2^PROBE_DOUBLINGS
-    (when that certifies too, a warning, and that amplitude is the result).
+    The search keeps one bracket [certified, failed], starting as
+    [0, inf).  It takes secant steps on the last two margins that agree
+    with their verdicts, kept inside the bracket and at least half a
+    resolution from either end (Dekker's method as Brent, 1973, safeguards
+    it).  It bisects when an end's margin is missing or disagrees with its
+    verdict, when the secant's root falls outside the bracket, or when two
+    steps did not halve the bracket.  When a step aimed at the root comes
+    back with such a margin (the verdict flips short of the margin's root,
+    say a not-critical run with v0 in the ball), the next step backs away
+    from that end, twice as far as the one before, up to the midpoint.
 
-    Inside the bracket [certified, failed] it takes secant steps on the
-    last two margins that agree with their verdicts, kept inside the
-    bracket and at least half a resolution from either end (Dekker's method
-    as Brent, 1973, safeguards it).  It bisects when an end's margin is
-    missing or disagrees with its verdict, when the secant's root falls
-    outside the bracket, or when two steps did not halve the bracket.  When
-    a step aimed at the root comes back with such a margin (the verdict
-    flips short of the margin's root, say a not-critical run with v0 in the
-    ball), the next step backs away from that end, twice as far as the one
-    before, up to the midpoint.  It stops once the bracket is no wider than
-    PROBE_RESOLUTION * lambda_hat (PROBE_RESOLUTION times the first
-    amplitude, the problem's own scale, while only s = 0 is certified) and
-    returns its certified end.  That is always an amplitude it evaluated:
-    s = 0 is run only when the search ends there, and a failure of that
-    run is an internal error.
+    Until certification first fails the midpoint is infinite, so a step
+    grows s: at least twofold when the last certified run did not halve
+    its margin, at most PROBE_GROWTH-fold, and never past
+    PROBE_S_START * 2^PROBE_DOUBLINGS (when that certifies too, a warning,
+    and that amplitude is the result).
+
+    It stops once the bracket is no wider than PROBE_RESOLUTION *
+    lambda_hat (PROBE_RESOLUTION times the first amplitude, the problem's
+    own scale, while only s = 0 is certified) and returns its certified
+    end.  That is always an amplitude it evaluated: s = 0 is run only when
+    the search ends there, and when even that fails to certify, no
+    amplitude certifies at this r and it raises RuntimeError.
 
     Certification is assumed monotone in s within a run; observed flips
     are logged as warnings (and visible in ``trace_out``, the (s, certified)
@@ -457,37 +459,29 @@ def forcing_threshold_probe(
         return s1 + m1 * (s1 - s0) / (m0 - m1)
 
     s_max = PROBE_S_START * 2.0**PROBE_DOUBLINGS
-    lo, lo_usable = 0.0, True
+    # the bracket [certified, failed] (its open end agrees with any
+    # margin), whether each end's margin agreed with its verdict, the
+    # bracket's width before each of the last two steps, and how many aimed
+    # steps in a row came back with a margin that disagreed with their verdict
+    lo, hi = 0.0, math.inf
+    lo_usable = hi_usable = True
+    widths = (math.inf, math.inf)
+    gallop = 0
+    # the first amplitude is the tangent's root, not a secant step
     s = s1 = min(margin0 / slope, s_max) if slope > 0.0 else s_max
-    last_gap = math.inf  # the last step's length, when it went to the secant's root
+    aimed = False
     while True:
-        ok, usable = run(s)
-        if not ok:
+        last_ok, usable = run(s)
+        gallop = gallop + 1 if aimed and not usable else 0
+        if last_ok:
+            lo, lo_usable = s, usable
+        else:
             hi, hi_usable = s, usable
+        if hi - lo <= PROBE_RESOLUTION * (lo if lo > 0.0 else s1):
             break
-        lo, lo_usable = s, usable
         if lo >= s_max:
             logger.warning("forcing probe never failed up to s = %.3e", lo)
-            return lo
-        gap = secant_root() - lo
-        if gap > 0.5 * last_gap:
-            # that step did not halve the distance to the root: double
-            s, gap = 2.0 * lo, math.inf
-        elif gap > 0.0:
-            s = lo + max(gap, 0.5 * PROBE_RESOLUTION * lo)
-        else:
-            s, gap = math.inf, math.inf
-        if s > min(PROBE_GROWTH * lo, s_max):
-            s, gap = min(PROBE_GROWTH * lo, s_max), math.inf
-        last_gap = gap
-
-    # the bracket's width before each step, the verdict of the last step,
-    # and how many aimed steps in a row came back with a margin that
-    # disagreed with their verdict
-    widths: list[float] = []
-    last_ok = False
-    gallop = 0
-    while hi - lo > PROBE_RESOLUTION * (lo if lo > 0.0 else s1):
+            break
         mid = 0.5 * (lo + hi)
         s = secant_root()
         aimed = True
@@ -496,26 +490,23 @@ def forcing_threshold_probe(
             # the end that step moved, twice as far each time
             step = 0.5 * PROBE_RESOLUTION * (lo if last_ok else hi) * 2.0 ** (gallop - 1)
             s = min(lo + step, mid) if last_ok else max(hi - step, mid)
-        elif (
-            not (lo_usable and hi_usable and lo < s < hi)
-            or (len(widths) >= 2 and hi - lo > 0.5 * widths[-2])
-        ):
+        elif not (lo_usable and hi_usable and lo < s < hi) or hi - lo > 0.5 * widths[0]:
             s, aimed = mid, False
         else:
             d = 0.5 * PROBE_RESOLUTION * s
             s = min(max(s, lo + d), hi - d)
+        if hi == math.inf:
+            # nothing failed yet, so the midpoint is infinite: grow, at least
+            # doubling when the last certified run did not halve its margin
+            if 2.0 * nodes[-1][1] > nodes[0][1]:
+                s = max(s, 2.0 * lo)
+            s = min(s, PROBE_GROWTH * lo, s_max)
         if s in (lo, hi):
             break  # no double left between the ends
-        widths.append(hi - lo)
-        last_ok, usable = run(s)
-        gallop = gallop + 1 if aimed and not usable else 0
-        if last_ok:
-            lo, lo_usable = s, usable
-        else:
-            hi, hi_usable = s, usable
+        widths = (widths[1], hi - lo)
 
     if lo == 0.0 and not run(0.0)[0]:
-        raise RuntimeError("pipeline failed to certify the zero forcing; internal error")
+        raise RuntimeError(f"no forcing amplitude certifies at r = {r:g}, not even zero")
 
     flips = non_monotone_flips(evaluations)
     if flips:

@@ -394,6 +394,15 @@ class TestProbeLambdaCommand:
         assert seen == [cfg]
         assert cli.build_parser.cache_info().misses == 1
 
+    def test_radius_where_nothing_certifies_exits_one(self, tmp_path, capsys):
+        # far above the radius window even the zero forcing fails to certify
+        cfg = self.nonhomogeneous_config(tmp_path, n=41, r=1000.0)
+        code = main(["probe-lambda", "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("probe: no forcing amplitude certifies at r = 1000, not even zero")
+
     def test_family_mismatch_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(tmp_path / "out"))
         code = main(["probe-lambda", "--config", str(cfg)])

@@ -11,6 +11,7 @@ from hintcvx import convex_sets, functionals, principle
 from hintcvx.grid import weighted_inner
 from hintcvx.principle import (
     PROBE_DOUBLINGS,
+    PROBE_GROWTH,
     PROBE_RESOLUTION,
     PROBE_S_START,
     VERDICT_CERTIFIED,
@@ -555,12 +556,12 @@ class TestForcingProbe:
         assert evals[0][0] == pytest.approx(self.linear_root(spec, 0.5), rel=1e-14)
         assert 0.0 not in dict(evals)
 
-    def test_zero_forcing_failure_is_an_internal_error(self, monkeypatch):
+    def test_nothing_certifies_not_even_zero_forcing(self, monkeypatch):
         # nothing certifies, not even s = 0: the search ends at 0 and its
         # run there raises
         self.model_pipeline(monkeypatch, lambda s: (False, 1.0))
         evals = []
-        with pytest.raises(RuntimeError, match="internal error"):
+        with pytest.raises(RuntimeError, match="no forcing amplitude certifies at r = 0.5, not even zero"):
             hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
         assert evals[-1] == (0.0, False)
         assert len(evals) > 1 and all(s > 0.0 for s, _ in evals[:-1])
@@ -657,12 +658,14 @@ class TestForcingProbe:
         self.check_bracket(evals, lam)
         assert len(evals) <= 8
 
-    @pytest.mark.parametrize("order, runs", [(5, 45), (9, 30)])
-    def test_flat_margin_still_brackets(self, monkeypatch, order, runs):
-        # margin (0.3 - s)^order below the threshold 0.3: secant steps creep
-        # up on a root of high order, and the bracket's halving rule (order 5:
-        # 37 runs, 59 without it) and the growth's fallback to doubling
-        # (order 9: 23 runs, 45 without it) bound the work
+    @pytest.mark.parametrize("order", [5, 9])
+    def test_flat_margin_still_brackets(self, monkeypatch, order):
+        # margin 0.5 + tol - (0.3 - s)^order below the threshold 0.3, linear
+        # above it: the first amplitude (~0.474) fails and two secant steps
+        # on the linear side reach 0.3 from above; as they left the bracket
+        # [0, 0.3] wider than half of [0, 0.474], the halving rule bisects
+        # once, to 0.15, and the secant from there to 0.3 ends the search
+        # within the resolution
         tol = convex_sets.DEFAULT_MEMBERSHIP_TOL
         self.model_pipeline(
             monkeypatch,
@@ -672,6 +675,28 @@ class TestForcingProbe:
         lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
         self.check_bracket(evals, lam)
         assert lam == pytest.approx(0.3, rel=PROBE_RESOLUTION)
+        assert len(evals) <= 5
+
+    @pytest.mark.parametrize(
+        "margin, threshold, runs",
+        [
+            (lambda s: 0.5 * (1.0 - s * s), 1.0, 16),
+            (lambda s: 0.5 * (1.0 - s / 3.0) ** 9 if s <= 3.0 else 3.0 - s, 3.0, 26),
+            (lambda s: 0.5 - s / 1.2 if s <= 0.6 else 0.6 - s, 0.6, 3),
+        ],
+        ids=["concave", "flat-order-9", "linear-kink"],
+    )
+    def test_growth_from_a_certified_first_amplitude(self, monkeypatch, margin, threshold, runs):
+        # the first amplitude s1 ~ 0.474 certifies and the search grows s
+        # towards the margin's root, by at most PROBE_GROWTH per step
+        tol = convex_sets.DEFAULT_MEMBERSHIP_TOL
+        self.model_pipeline(monkeypatch, lambda s: (margin(s) >= 0.0, 0.5 + tol - margin(s)))
+        evals = []
+        lam = hx.forcing_threshold_probe(self.make_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        assert evals[0][1] is True
+        self.check_bracket(evals, lam)
+        assert lam == pytest.approx(threshold, rel=PROBE_RESOLUTION)
+        assert all(b <= PROBE_GROWTH * a for (a, _), (b, _) in zip(evals, evals[1:]))
         assert len(evals) <= runs
 
     def test_verdict_flips_inside_the_ball(self):
