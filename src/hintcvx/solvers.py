@@ -25,9 +25,9 @@ accepts a trial point:
   ridge merit falls, or when the VI residual halves.
 
 On radial grids both rules hand over to guarded Newton steps
-(``_newton_step``) once the VI residual is at or below
-``NEWTON_HANDOVER``; the first rejected Newton trial returns the run to
-the step rule for good.  The square takes no Newton step: a sparse LU of
+(``_newton_step``, accepted when the VI residual halves) once the VI
+residual is at or below ``NEWTON_HANDOVER``; the first rejected Newton
+trial returns the run to the step rule for good.  The square takes no Newton step: a sparse LU of
 its Jacobian costs more than a whole run there.
 """
 
@@ -185,23 +185,24 @@ def _descent_directions(spec: ProblemSpec, K: H2Ball, g: np.ndarray):
     yield K.geometry.riesz(g)
 
 
-def _backtrack(spec: ProblemSpec, K: ConvexSet, u: GridFunction, directions, accept, retract):
+def _backtrack(spec: ProblemSpec, K: ConvexSet, u: GridFunction, directions, rescale=None):
     """Backtracking line search shared by both step rules.
 
-    For each direction d in turn, tries cand = retract(P_K(u - tau d)) at
-    tau = STEP0, STEP0 SHRINK, ... (MAX_BACKTRACKS sizes) and returns the
-    first (cand, I(cand), tau) whose energy is finite and which
-    ``accept(cand, I(cand))`` admits; None when no trial passes.
+    For each direction d in turn, yields (cand, I(cand), tau) for every
+    trial cand = P_K(u - tau d), passed through ``rescale`` when given, at
+    tau = STEP0, STEP0 SHRINK, ... (MAX_BACKTRACKS sizes) whose energy is
+    finite.  A step rule takes the first trial its own test admits.
     """
     for direction in directions:
         tau = STEP0
         for _ in range(MAX_BACKTRACKS):
-            cand = retract(project(K, u.with_values(u.values - tau * direction)))
+            cand = project(K, u.with_values(u.values - tau * direction))
+            if rescale is not None:
+                cand = rescale(cand)
             cand_value = energy(spec, cand)
-            if np.isfinite(cand_value) and accept(cand, cand_value):
-                return cand, cand_value, tau
+            if np.isfinite(cand_value):
+                yield cand, cand_value, tau
             tau *= SHRINK
-    return None
 
 
 def _energy_floor(value: float) -> float:
@@ -209,17 +210,18 @@ def _energy_floor(value: float) -> float:
     return 1e-13 * (1.0 + abs(value))
 
 
-def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, rho: float, monotone: bool):
+def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, rho: float):
     """Guarded Newton trial u - delta, with J delta = W g for the weighted
     gradient g and the Jacobian J = form - W diag(Phi''(u)), tridiagonal on
     radial grids (Neuberger & Swift, Int. J. Bifur. Chaos 11 (2001); Choi &
     McKenna, Nonlinear Anal. 20 (1993)).
 
-    Returns ``(cand, I(cand), 1.0, rho(cand))`` when the trial moves, lies
-    in K, its energy is finite, its VI residual is below half of rho (one
-    that does not halve it has met the residual's rounding floor, or is not
-    converging quadratically) and, with ``monotone``, its energy exceeds
-    value by no more than the rounding floor; else None.
+    Returns ``(cand, I(cand), 1.0, rho(cand))`` when the trial lies in K,
+    its energy is finite and, on the H^2 ball, where stage i minimises,
+    exceeds value by no more than the rounding floor, and its VI residual
+    is below half of rho (one that does not halve it has met the residual's
+    rounding floor, or is not converging quadratically); else None.  A
+    null trial, u itself, has residual rho and so fails the last test.
     """
     try:
         delta = spec.operator.solve_shifted(phi_hess(spec, u), energy_grad(spec, u))
@@ -228,21 +230,17 @@ def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float,
     trial = u.values - delta
     if not np.isfinite(trial).all():  # an overflow in Phi'' or in the solve
         return None
-    if np.array_equal(trial, u.values):  # a null step: u is Newton's fixed point
-        return None
     cand = u.with_values(trial)
     if not contains(K, cand, DEFAULT_MEMBERSHIP_TOL):
         return None
     cand_value = energy(spec, cand)
-    if not np.isfinite(cand_value) or (monotone and cand_value > value + _energy_floor(value)):
+    if not np.isfinite(cand_value) or (isinstance(K, H2Ball) and cand_value > value + _energy_floor(value)):
         return None
     cand_rho = vi_residual(spec, K, cand)
     return (cand, cand_value, 1.0, cand_rho) if cand_rho < 0.5 * rho else None
 
 
-def _descend(
-    spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg: SolverConfig, step, monotone: bool
-):
+def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg: SolverConfig, step):
     """Stage-i loop shared by both drivers.
 
     Records one trace row per iterate and stops when the VI residual drops
@@ -258,7 +256,6 @@ def _descend(
 
     When the operator ``has_banded_form`` (radial grids) and rho is at or
     below ``NEWTON_HANDOVER``, each iteration first tries ``_newton_step``
-    (``monotone``: the energy may not rise, as the minimising driver asks)
     and takes ``step`` only when the trial is rejected; after the first
     rejection the run makes no further Newton attempt.  Newton steps go on
     below ``tol_residual`` until a trial is rejected or rho reaches the
@@ -278,7 +275,7 @@ def _descend(
         result = None
         # below tol_residual Newton steps go on down to the energy's floor
         if newton and min(cfg.tol_residual, _energy_floor(value)) < rho <= NEWTON_HANDOVER:
-            result = _newton_step(spec, K, u, value, rho, monotone)
+            result = _newton_step(spec, K, u, value, rho)
             newton = result is not None
         if result is None:
             if rho <= cfg.tol_residual:
@@ -310,10 +307,12 @@ def projected_gradient_minimize(
     """Minimize I = Psi - Phi over the H^2 ball K by projected gradient with
     Armijo backtracking.
 
-    Iterates u_{k+1} = P_K(u_k - tau_k d_k) stay feasible and monotonically
-    decrease the energy; the run stops when the VI residual drops below
-    ``tol_residual``, on ``step`` when the accepted trial left the point
-    unchanged, or at ``max_iters``.
+    Iterates stay feasible.  The first-order steps
+    u_{k+1} = P_K(u_k - tau_k d_k) decrease the energy; the Newton steps of
+    radial grids are accepted on a halved VI residual, and may not raise
+    the energy beyond its rounding floor.  The run stops when
+    the VI residual drops below ``tol_residual``, on ``step`` when the
+    accepted trial left the point unchanged, or at ``max_iters``.
     """
     if not isinstance(K, H2Ball):
         raise ValueError("projected gradient needs the H^2 ball constraint")
@@ -326,17 +325,15 @@ def projected_gradient_minimize(
     def armijo_step(u, value, rho):
         g = energy_grad(spec, u)
         wg = spec.weights * g
-
-        def sufficient_decrease(cand, cand_value):
+        for cand, cand_value, tau in _backtrack(spec, K, u, _descent_directions(spec, K, g)):
             # value_new <= value + c <g, new - u>_w, the predicted term
             # clamped to be a decrease
             pred = float(wg @ (cand.values - u.values))
-            return pred <= 0.0 and cand_value <= value + ARMIJO_C * pred
+            if pred <= 0.0 and cand_value <= value + ARMIJO_C * pred:
+                return cand, cand_value, tau, None
+        return None
 
-        found = _backtrack(spec, K, u, _descent_directions(spec, K, g), sufficient_decrease, lambda v: v)
-        return None if found is None else (*found, None)
-
-    u, trace = _descend(spec, K, u_init, value, cfg, armijo_step, monotone=True)
+    u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)
     logger.info("projected gradient terminated (%s) after %d rows", trace.reason, len(trace))
     return u, trace
 
@@ -399,21 +396,15 @@ def mountain_pass(
         # scales like distance^2 and falls under float resolution, while the
         # residual the loop stops on keeps contracting)
         merit_floor = _energy_floor(value)
-        cand_rho = None  # VI residual of the last trial, if the test computed it
-
-        def merit_or_residual_falls(cand, cand_value):
-            nonlocal cand_rho
-            cand_rho = None
+        for cand, cand_value, tau in _backtrack(spec, K, u, (direction,), partial(ray_rescale, spec)):
             if cand_value < value - merit_floor:
-                return True
+                return cand, cand_value, tau, None
             cand_rho = vi_residual(spec, K, cand)
-            return cand_rho < 0.5 * rho
+            if cand_rho < 0.5 * rho:
+                return cand, cand_value, tau, cand_rho
+        return None
 
-        # _backtrack returns the first trial the test admits, the last one it saw
-        found = _backtrack(spec, K, u, (direction,), merit_or_residual_falls, partial(ray_rescale, spec))
-        return None if found is None else (*found, cand_rho)
-
-    u, trace = _descend(spec, K, u, value, cfg, ridge_step, monotone=False)
+    u, trace = _descend(spec, K, u, value, cfg, ridge_step)
     c = trace.rows[-1][1]
     logger.info("mountain pass terminated (%s), c = %.6e", trace.reason, c)
     return u, trace, c

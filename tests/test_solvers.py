@@ -190,7 +190,7 @@ class TestProjectedGradient:
         accepted = []
         backtrack = solvers._backtrack
 
-        def recorded(spec, K, u, directions, accept, retract):
+        def recorded(spec, K, u, directions, *rescale):
             pulled = []
 
             def numbered():
@@ -198,10 +198,11 @@ class TestProjectedGradient:
                     pulled.append(i)
                     yield d
 
-            found = backtrack(spec, K, u, numbered(), accept, retract)
-            if found is not None:
+            try:
+                yield from backtrack(spec, K, u, numbered(), *rescale)
+            except GeneratorExit:  # the step rule took the last trial
                 accepted.append(pulled[-1])
-            return found
+                raise
 
         monkeypatch.setattr(solvers, "_backtrack", recorded)
         g = hx.RadialGrid(n=201, dim=1)
@@ -493,6 +494,19 @@ class TestNewtonFinish:
         assert cert.verdict == "certified"
         assert report.reason == "vi_residual"
         assert len(report.trace) == 3
+
+    def test_energy_guard_decides_a_fine_ball_run(self):
+        # nonhomogeneous dim 2, n=3201, p=4, r=3: from VI 4.3e-8 the Newton
+        # trial halves the residual (to 7.8e-17) but raises the energy by
+        # 4.1e-13 (1 + |value|), above the floor 1e-13 (1 + |value|).  The
+        # guard rejects it, so the ball's energy never rises along the trace
+        # and the run ends on a null first-order step instead
+        g = hx.RadialGrid(n=3201, dim=2)
+        f = hx.GridFunction(g, 1.0 - g.nodes**2, hx.NEUMANN_ZERO)
+        _, report = hx.run_problem(hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f, r=3.0))
+        energies = [row[1] for row in report.trace.rows]
+        assert all(b <= a + 1e-13 * (1.0 + abs(a)) for a, b in zip(energies, energies[1:]))
+        assert report.reason == "step"
 
     def test_square_takes_no_newton_step(self, monkeypatch):
         attempts = []
