@@ -66,11 +66,19 @@ def _check_set_grid(K: ConvexSet, u: GridFunction) -> None:
         raise ValueError("grid function lives on a different grid than the constraint set")
 
 
+def ball_bound(r: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> float:
+    """Largest ||u||_h2 the test of a ball of radius r admits: r plus the
+    slack tol max(1, r), relative for r > 1, where an absolute tol would be
+    a few ulps of r."""
+    return r + tol * max(1.0, r)
+
+
 def contains(K: ConvexSet, u: GridFunction, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Membership with slack tol; deterministic."""
+    """Membership with slack tol (scaled by ``ball_bound`` on the ball);
+    deterministic."""
     _check_set_grid(K, u)
     if isinstance(K, H2Ball):
-        return K.geometry.norm(u) <= K.r + tol
+        return K.geometry.norm(u) <= ball_bound(K.r, tol)
     v = u.values
     if np.min(v) < -tol:
         return False

@@ -23,6 +23,7 @@ from .convex_sets import (
     H2Ball,
     MembershipError,
     MonotoneCone,
+    ball_bound,
     contains,
 )
 from .functionals import (
@@ -374,13 +375,13 @@ def _amplitude_run(
     spec_template: ProblemSpec, r: float, cfg: SolverConfig, s: float
 ) -> tuple[bool, float | None]:
     """Run the full pipeline at forcing amplitude s.  Returns whether it
-    certified and its membership margin r + tol - ||v0||_h2, which is >= 0
+    certified and its membership margin ball_bound(r) - ||v0||_h2, >= 0
     exactly when v0 passed the ball test (None when stage ii gave no v0)."""
     cert, _ = run_problem(_amplitude_spec(spec_template, r, s), cfg)
     ok = cert.verdict == VERDICT_CERTIFIED and cert.error is None
     if cert.v0_h2_norm is None:
         return ok, None
-    return ok, r + DEFAULT_MEMBERSHIP_TOL - cert.v0_h2_norm
+    return ok, ball_bound(r) - cert.v0_h2_norm
 
 
 def certified_at_amplitude(
@@ -400,11 +401,11 @@ def forcing_threshold_probe(
     normalized direction of the template's forcing.
 
     The threshold is where v0 leaves the ball: the root of the membership
-    margin m(s) = r + tol - ||v0(s)||_h2, which every run's certificate
-    holds and which is nearly linear below the root.  At s = 0 both u0 and
-    v0 vanish, so m(0) = r + tol is known without a run, and m falls from
-    there with slope ||A^-1 f_dir||_h2 (one solve with the form's cached
-    factor).  The first run is at the root of that line.
+    margin m(s) = ball_bound(r) - ||v0(s)||_h2, which every run's
+    certificate holds and which is nearly linear below the root.  At s = 0
+    both u0 and v0 vanish, so m(0) = ball_bound(r) is known without a run,
+    and m falls from there with slope ||A^-1 f_dir||_h2 (one solve with the
+    form's cached factor).  The first run is at the root of that line.
 
     The search keeps one bracket [certified, failed], starting as
     [0, inf).  It takes secant steps on the last two margins that agree
@@ -436,7 +437,7 @@ def forcing_threshold_probe(
     """
     cfg = cfg or SolverConfig()
     evaluations = trace_out if trace_out is not None else []
-    margin0 = r + DEFAULT_MEMBERSHIP_TOL
+    margin0 = ball_bound(r)
     unit = _amplitude_spec(spec_template, r, 1.0)
     slope = unit.geometry.h2_norm(unit.operator.solve_form(unit.f.values))
     # (s, margin) of the last two amplitudes whose margin agrees with the

@@ -83,6 +83,16 @@ class TestMembership:
         just_in = u.with_values(u.values * (1.0 / nrm))
         assert hx.contains(ball, just_in, tol)
 
+    def test_large_ball_slack_is_relative(self, ball, grid1d):
+        # at r = 1e6 an absolute slack of 1e-9 is a few ulps of r; the ball
+        # admits norms up to r (1 + tol) and no further
+        tol = 1e-9
+        big = hx.H2Ball(1e6, ball.geometry)
+        u = random_dirichlet(grid1d, 0)
+        nrm = ball.geometry.h2_norm(u.values)
+        assert hx.contains(big, u.with_values(u.values * ((1e6 + 1e-3) * (1.0 - 1e-12) / nrm)), tol)
+        assert not hx.contains(big, u.with_values(u.values * ((1e6 + 1e-3) * (1.0 + 1e-12) / nrm)), tol)
+
     def test_accumulated_drift_detected(self, cone):
         # consecutive steps within tol but a large total decrease
         tol = 1e-3

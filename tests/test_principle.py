@@ -194,6 +194,18 @@ class TestRunProblem:
         assert abs(cert.energy) <= 1e-20
         assert np.max(np.abs(cert.u0.values)) <= 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_large_radius_ends_without_a_solve_error(self, dim):
+        # zero forcing, p=4, r=1e6: a projected iterate's recomputed
+        # ||u||_h2 exceeds r by 1.4e-9 to 1.5e-9, a few ulps of r, so with an
+        # absolute membership slack of 1e-9 vi_residual raised and the run
+        # ended on a solve error
+        g = hx.RadialGrid(n=201, dim=dim)
+        f = hx.GridFunction(g, np.zeros(g.size), hx.NEUMANN_ZERO)
+        cert, report = run_problem(hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f, r=1e6))
+        assert cert.error is None
+        assert report.reason != "error"
+
     def test_concave_convex_certifies(self):
         g = hx.RadialGrid(n=81, dim=1)
         star = hx.mu_star(1.0, 4.0, 1.5)
