@@ -27,8 +27,9 @@ accepts a trial point:
 On radial grids both rules hand over to guarded Newton steps
 (``_newton_step``, accepted when the VI residual halves) once the VI
 residual is at or below ``NEWTON_HANDOVER``; the first rejected Newton
-trial returns the run to the step rule for good.  The square takes no Newton step: a sparse LU of
-its Jacobian costs more than a whole run there.
+trial returns the run to the step rule for good.  The square takes no
+Newton step: a sparse LU of its Jacobian costs more than a whole run
+there.
 """
 
 from __future__ import annotations
@@ -310,9 +311,9 @@ def projected_gradient_minimize(
     Iterates stay feasible.  The first-order steps
     u_{k+1} = P_K(u_k - tau_k d_k) decrease the energy; the Newton steps of
     radial grids are accepted on a halved VI residual, and may not raise
-    the energy beyond its rounding floor.  The run stops when
-    the VI residual drops below ``tol_residual``, on ``step`` when the
-    accepted trial left the point unchanged, or at ``max_iters``.
+    the energy beyond its rounding floor.  The run stops when the VI
+    residual drops below ``tol_residual``, on ``step`` when the accepted
+    trial left the point unchanged, or at ``max_iters``.
     """
     if not isinstance(K, H2Ball):
         raise ValueError("projected gradient needs the H^2 ball constraint")

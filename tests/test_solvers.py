@@ -495,12 +495,27 @@ class TestNewtonFinish:
         assert report.reason == "vi_residual"
         assert len(report.trace) == 3
 
+    @pytest.mark.parametrize(
+        ("max_iters", "reason", "verdict", "rows"),
+        [(6, "vi_residual", "certified", 7), (5, "max_iters", "not-critical", 6)],
+    )
+    def test_last_allowed_step_to_the_tolerance_ends_vi_residual(self, max_iters, reason, verdict, rows):
+        # the ridge of a = 1 + r takes 7 rows; with max_iters=6 the last
+        # allowed step lands at VI 1.6e-13, so the run that ran out of
+        # iterations is relabelled vi_residual and certifies
+        cert, report = hx.run_problem(_neumann(201, 1, 4.0, 1.0), hx.SolverConfig(max_iters=max_iters))
+        assert report.reason == reason
+        assert cert.verdict == verdict
+        assert len(report.trace) == rows
+        assert (report.trace.rows[-1][2] <= hx.SolverConfig().tol_residual) == (reason == "vi_residual")
+
     def test_energy_guard_decides_a_fine_ball_run(self):
         # nonhomogeneous dim 2, n=3201, p=4, r=3: from VI 4.3e-8 the Newton
         # trial halves the residual (to 7.8e-17) but raises the energy by
         # 4.1e-13 (1 + |value|), above the floor 1e-13 (1 + |value|).  The
         # guard rejects it, so the ball's energy never rises along the trace
-        # and the run ends on a null first-order step instead
+        # and the run ends on a null first-order step instead, still at VI
+        # 4.3e-8 and so not-critical; without the guard it certifies
         g = hx.RadialGrid(n=3201, dim=2)
         f = hx.GridFunction(g, 1.0 - g.nodes**2, hx.NEUMANN_ZERO)
         _, report = hx.run_problem(hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f, r=3.0))
