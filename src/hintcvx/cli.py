@@ -225,23 +225,22 @@ def parse_config(path) -> RunConfig:
     return RunConfig(spec=spec, solver=solver, output_dir=output_dir)
 
 
-def _load(args) -> RunConfig | None:
-    """Parse ``--config`` and apply ``--seed``; on a config error, print it
-    and return None."""
+def _load(path) -> RunConfig | None:
+    """Parse the config at path; on a config error, print it and return
+    None."""
     try:
-        run_cfg = parse_config(args.config)
+        return parse_config(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
-    if args.seed is not None:
-        run_cfg.solver = dataclasses.replace(run_cfg.solver, seed=args.seed)
-    return run_cfg
 
 
 def cmd_solve(args) -> int:
-    run_cfg = _load(args)
+    run_cfg = _load(args.config)
     if run_cfg is None:
         return 1
+    if args.seed is not None:
+        run_cfg.solver = dataclasses.replace(run_cfg.solver, seed=args.seed)
     out_dir = Path(args.out or run_cfg.output_dir)
     # an unusable directory fails before the solve, not after it
     try:
@@ -299,7 +298,7 @@ def cmd_window(args) -> int:
 
 
 def cmd_probe_lambda(args) -> int:
-    run_cfg = _load(args)
+    run_cfg = _load(args.config)
     if run_cfg is None:
         return 1
     spec, solver = run_cfg.spec, run_cfg.solver
@@ -365,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe-lambda", help="find the forcing amplitude threshold")
     p_probe.add_argument("--config", required=True, help="nonhomogeneous run configuration")
-    p_probe.add_argument("--seed", type=int, default=None, help="override the solver seed")
     p_probe.set_defaults(func=lambda args: cmd_probe_lambda(args))
     return parser
 

@@ -25,7 +25,8 @@ accepts a trial point:
   ridge merit falls, or when the VI residual halves.
 
 On radial grids both rules hand over to guarded Newton steps
-(``_newton_step``, accepted when the VI residual halves) once the VI
+(``_newton_step``, accepted when the VI residual halves, even where the
+energy rises: any constrained critical point certifies) once the VI
 residual is at or below ``NEWTON_HANDOVER``; the first rejected Newton
 trial returns the run to the step rule for good.  The square takes no
 Newton step: a sparse LU of its Jacobian costs more than a whole run
@@ -211,18 +212,17 @@ def _energy_floor(value: float) -> float:
     return 1e-13 * (1.0 + abs(value))
 
 
-def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, rho: float):
+def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, rho: float):
     """Guarded Newton trial u - delta, with J delta = W g for the weighted
     gradient g and the Jacobian J = form - W diag(Phi''(u)), tridiagonal on
     radial grids (Neuberger & Swift, Int. J. Bifur. Chaos 11 (2001); Choi &
     McKenna, Nonlinear Anal. 20 (1993)).
 
     Returns ``(cand, I(cand), 1.0, rho(cand))`` when the trial lies in K,
-    its energy is finite and, on the H^2 ball, where stage i minimises,
-    exceeds value by no more than the rounding floor, and its VI residual
-    is below half of rho (one that does not halve it has met the residual's
-    rounding floor, or is not converging quadratically); else None.  A
-    null trial, u itself, has residual rho and so fails the last test.
+    its energy is finite and its VI residual is below half of rho (one that
+    does not halve it has met the residual's rounding floor, or is not
+    converging quadratically), on every K alike; else None.  A null trial,
+    u itself, has residual rho and so fails the last test.
     """
     try:
         delta = spec.operator.solve_shifted(phi_hess(spec, u), energy_grad(spec, u))
@@ -235,7 +235,7 @@ def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float,
     if not contains(K, cand, DEFAULT_MEMBERSHIP_TOL):
         return None
     cand_value = energy(spec, cand)
-    if not np.isfinite(cand_value) or (isinstance(K, H2Ball) and cand_value > value + _energy_floor(value)):
+    if not np.isfinite(cand_value):
         return None
     cand_rho = vi_residual(spec, K, cand)
     return (cand, cand_value, 1.0, cand_rho) if cand_rho < 0.5 * rho else None
@@ -276,7 +276,7 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
         result = None
         # below tol_residual Newton steps go on down to the energy's floor
         if newton and min(cfg.tol_residual, _energy_floor(value)) < rho <= NEWTON_HANDOVER:
-            result = _newton_step(spec, K, u, value, rho)
+            result = _newton_step(spec, K, u, rho)
             newton = result is not None
         if result is None:
             if rho <= cfg.tol_residual:
@@ -310,10 +310,9 @@ def projected_gradient_minimize(
 
     Iterates stay feasible.  The first-order steps
     u_{k+1} = P_K(u_k - tau_k d_k) decrease the energy; the Newton steps of
-    radial grids are accepted on a halved VI residual, and may not raise
-    the energy beyond its rounding floor.  The run stops when the VI
-    residual drops below ``tol_residual``, on ``step`` when the accepted
-    trial left the point unchanged, or at ``max_iters``.
+    radial grids are accepted on a halved VI residual alone.  The run stops
+    when the VI residual drops below ``tol_residual``, on ``step`` when the
+    accepted trial left the point unchanged, or at ``max_iters``.
     """
     if not isinstance(K, H2Ball):
         raise ValueError("projected gradient needs the H^2 ball constraint")

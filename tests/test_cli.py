@@ -403,6 +403,14 @@ class TestProbeLambdaCommand:
         assert captured.out == ""
         assert captured.err.startswith("probe: no forcing amplitude certifies at r = 1000, not even zero")
 
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the probe writes no certificate, so a seed would change nothing
+        cfg = self.nonhomogeneous_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["probe-lambda", "--config", str(cfg), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_family_mismatch_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(tmp_path / "out"))
         code = main(["probe-lambda", "--config", str(cfg)])

@@ -1,7 +1,8 @@
 """Static hygiene: no module imports a name it never uses, no definition
 in the package goes unread, importing the package stays cheap, and the
-README names every solver key."""
+README names every solver key and command-line option."""
 
+import argparse
 import ast
 import dataclasses
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from hintcvx.cli import build_parser
 from hintcvx.solvers import SolverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -145,3 +147,18 @@ def test_readme_lists_the_solver_keys():
     readme = (ROOT / "README.md").read_text()
     sentence = readme.split("Solver keys mirror `SolverConfig`:", 1)[1].split(".", 1)[0]
     assert re.findall(r"`(\w+)`", sentence) == [f.name for f in dataclasses.fields(SolverConfig)]
+
+
+def test_readme_synopsis_lists_the_cli_options():
+    # each synopsis line names a subcommand and exactly the options its
+    # parser takes, in the parser's order, so a flag added or removed there
+    # must be added or removed in the README too
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: re.findall(r"(--\w+)", line) for line in block.splitlines()}
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [opt for a in sub._actions for opt in a.option_strings if opt not in ("-h", "--help")]
+        for name, sub in subparsers.choices.items()
+    }
+    assert synopsis == options

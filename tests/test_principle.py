@@ -614,6 +614,21 @@ class TestForcingProbe:
         assert min(s for s, ok in evals if not ok) - lam <= PROBE_RESOLUTION * PROBE_S_START
         assert lam == pytest.approx(0.004742395878, rel=1e-7)
 
+    def test_newton_finish_on_the_ball_keeps_the_threshold(self):
+        # dim 2, n=801, p=3, r=3, f = r (1 - r^2): at s = 1.99767 a Newton
+        # trial takes the VI from 1.5e-7 to 3.7e-15 and raises the energy by
+        # 1.5e-13; a probe whose pipeline rejects that trial ends there
+        # not-critical and returns 1.97686 after 30 pipelines.  The bordered
+        # Newton solve of the threshold gives 2.6635563
+        g = hx.RadialGrid(n=801, dim=2)
+        f = hx.GridFunction(g, g.nodes * (1.0 - g.nodes**2), hx.NEUMANN_ZERO)
+        spec = hx.ProblemSpec(family="nonhomogeneous", grid=g, p=3.0, f=f)
+        evals = []
+        lam = hx.forcing_threshold_probe(spec, 3.0, hx.SolverConfig(), trace_out=evals)
+        assert lam == pytest.approx(2.6635563, rel=1e-7)
+        assert len(evals) <= 10
+        self.check_bracket(evals, lam)
+
     def test_nothing_positive_certifies(self, monkeypatch):
         # lambda_hat = 0 ends at the width PROBE_RESOLUTION * s1, s1 ~ 0.474 the
         # first amplitude: one secant step to just above s1 / 2 (the margin is
