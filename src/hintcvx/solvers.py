@@ -244,16 +244,14 @@ def _newton_step(spec: ProblemSpec, K: ConvexSet, u: GridFunction, rho: float):
 def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg: SolverConfig, step):
     """Stage-i loop shared by both drivers.
 
-    Records one trace row per iterate and stops when the VI residual drops
-    below ``tol_residual``, when ``step(u, value, rho)`` finds no
-    acceptable point (it returns ``(cand, cand_value, tau, cand_rho)`` or
-    None; rho is the VI residual at u, cand_rho the one at cand if the step
-    computed it, else None), on ``step`` when the accepted trial left the
-    point unchanged (its values equal the iterate's: a fixed point of the
-    step rule, where no later step can move), or at ``max_iters``.  The
-    last two end on an accepted trial without a row, so it gets a final
-    one.  The last row always holds the returned point's energy and VI
-    residual.
+    Records one trace row per accepted point, the start's first, and stops
+    when the VI residual drops below ``tol_residual``, when
+    ``step(u, value, rho)`` finds no acceptable point (it returns
+    ``(cand, cand_value, tau, cand_rho)`` or None; rho is the VI residual
+    at u, cand_rho the one at cand), on ``step`` when the accepted trial
+    left the point unchanged (its values equal the iterate's: a fixed point
+    of the step rule, where no later step can move), or at ``max_iters``.
+    The last row always holds the returned point's energy and VI residual.
 
     When the operator ``has_banded_form`` (radial grids) and rho is at or
     below ``NEWTON_HANDOVER``, each iteration first tries ``_newton_step``
@@ -266,13 +264,10 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
     step 1.0.
     """
     trace = IterTrace()
-    step_prev = float("nan")
-    rho = None
+    rho = vi_residual(spec, K, u)
+    trace.append(0, value, rho, float("nan"), spec.geometry.norm(u))
     newton = spec.operator.has_banded_form
-    for k in range(cfg.max_iters):
-        if rho is None:
-            rho = vi_residual(spec, K, u)
-        trace.append(k, value, rho, step_prev, spec.geometry.norm(u))
+    for k in range(1, cfg.max_iters + 1):
         result = None
         # below tol_residual Newton steps go on down to the energy's floor
         if newton and min(cfg.tol_residual, _energy_floor(value)) < rho <= NEWTON_HANDOVER:
@@ -286,19 +281,13 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
         if result is None:
             trace.reason = "line-search-stalled"
             return u, trace
-        cand, value, step_prev, rho = result
+        cand, value, tau, rho = result
+        trace.append(k, value, rho, tau, spec.geometry.norm(cand))
         if np.array_equal(cand.values, u.values):
-            reason = "step"
-            break
+            trace.reason = "step"
+            return u, trace
         u = cand
-    else:
-        reason = "max_iters"
-    if rho is None:
-        rho = vi_residual(spec, K, u)
-    trace.append(k + 1, value, rho, step_prev, spec.geometry.norm(u))
-    if rho <= cfg.tol_residual and reason == "max_iters":
-        reason = "vi_residual"
-    trace.reason = reason
+    trace.reason = "vi_residual" if rho <= cfg.tol_residual else "max_iters"
     return u, trace
 
 
@@ -330,7 +319,7 @@ def projected_gradient_minimize(
             # clamped to be a decrease
             pred = float(wg @ (cand.values - u.values))
             if pred <= 0.0 and cand_value <= value + ARMIJO_C * pred:
-                return cand, cand_value, tau, None
+                return cand, cand_value, tau, vi_residual(spec, K, cand)
         return None
 
     u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)
@@ -397,10 +386,8 @@ def mountain_pass(
         # residual the loop stops on keeps contracting)
         merit_floor = _energy_floor(value)
         for cand, cand_value, tau in _backtrack(spec, K, u, (direction,), partial(ray_rescale, spec)):
-            if cand_value < value - merit_floor:
-                return cand, cand_value, tau, None
             cand_rho = vi_residual(spec, K, cand)
-            if cand_rho < 0.5 * rho:
+            if cand_value < value - merit_floor or cand_rho < 0.5 * rho:
                 return cand, cand_value, tau, cand_rho
         return None
 
