@@ -27,10 +27,12 @@ accepts a trial point:
 On radial grids both rules hand over to guarded Newton steps
 (``_newton_step``, accepted when the VI residual halves, even where the
 energy rises: any constrained critical point certifies) once the VI
-residual is at or below ``NEWTON_HANDOVER``; the first rejected Newton
-trial returns the run to the step rule for good.  The square takes no
-Newton step: a sparse LU of its Jacobian costs more than a whole run
-there.
+residual is at or below ``NEWTON_HANDOVER``; a rejected Newton trial is
+replaced by the step rule's, and Newton is tried again at the next iterate
+until a trial is rejected within the certificate's VI tolerance
+(``DEFAULT_MEMBERSHIP_TOL``), where it has met the residual's rounding
+floor.  The square takes no Newton step: a sparse LU of its Jacobian costs
+more than a whole run there.
 """
 
 from __future__ import annotations
@@ -255,13 +257,15 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
 
     When the operator ``has_banded_form`` (radial grids) and rho is at or
     below ``NEWTON_HANDOVER``, each iteration first tries ``_newton_step``
-    and takes ``step`` only when the trial is rejected; after the first
-    rejection the run makes no further Newton attempt.  Newton steps go on
-    below ``tol_residual`` until a trial is rejected or rho reaches the
-    energy's rounding floor (``_energy_floor``): landing just under the
-    tolerance can leave a strong residual above the certificate's, and one
-    more O(n) step takes both down to rounding.  A Newton row records
-    step 1.0.
+    and takes ``step`` only when the trial is rejected.  A rejection at
+    rho above the certificate's ``DEFAULT_MEMBERSHIP_TOL`` leaves Newton on
+    for the next iterate; one at or below it ends the Newton attempts, since
+    a trial that does not halve so small a residual has met its rounding
+    floor.  Newton steps go on below ``tol_residual`` until such a
+    rejection or until rho reaches the energy's rounding floor
+    (``_energy_floor``): landing just under the tolerance can leave a
+    strong residual above the certificate's, and one more O(n) step takes
+    both down to rounding.  A Newton row records step 1.0.
     """
     trace = IterTrace()
     rho = vi_residual(spec, K, u)
@@ -272,7 +276,7 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
         # below tol_residual Newton steps go on down to the energy's floor
         if newton and min(cfg.tol_residual, _energy_floor(value)) < rho <= NEWTON_HANDOVER:
             result = _newton_step(spec, K, u, rho)
-            newton = result is not None
+            newton = result is not None or rho > DEFAULT_MEMBERSHIP_TOL
         if result is None:
             if rho <= cfg.tol_residual:
                 trace.reason = "vi_residual"

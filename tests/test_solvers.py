@@ -7,6 +7,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 import hintcvx as hx
 from hintcvx import solvers
 from hintcvx.principle import ball_start, certified_at_amplitude, mu_star, strong_residual
+from hintcvx.convex_sets import DEFAULT_MEMBERSHIP_TOL
 from hintcvx.solvers import LINEAR_SOLVE_RTOL
 from hintcvx.grid import weighted_inner
 
@@ -396,6 +397,10 @@ def _neumann(n, dim, p, slope):
     return hx.ProblemSpec(family="neumann-radial", grid=g, p=p, a=a)
 
 
+def _singular_solve(op, shift, rhs):
+    raise np.linalg.LinAlgError("singular matrix")
+
+
 class TestNewtonFinish:
     """Stage i on radial grids hands over to guarded Newton steps once the
     VI residual is at or below NEWTON_HANDOVER.  First-order descent alone
@@ -536,13 +541,57 @@ class TestNewtonFinish:
         assert cert.verdict == "certified"
         assert attempts == []
 
-    def test_rejected_trial_ends_the_newton_attempts(self, monkeypatch):
+    def test_rejected_trials_are_retried_above_the_certificate_tolerance(self, monkeypatch):
         # a trial that fails its guards is replaced by the first-order step,
-        # and the run tries no further Newton step
+        # and the next iterate tries Newton again; the attempts end at the
+        # first rejection within the certificate's VI tolerance, where a
+        # trial that does not halve the residual has met its rounding floor
         attempts = []
-        monkeypatch.setattr(solvers, "_newton_step", lambda *args: attempts.append(1))
+        monkeypatch.setattr(solvers, "_newton_step", lambda spec, K, u, rho: attempts.append(rho))
         cert, report = hx.run_problem(_neumann(801, 3, 3.0, 3.0))
-        assert attempts == [1]
+        assert report.reason == "vi_residual"
+        assert cert.verdict == "certified"
+        above = [row[2] for row in report.trace.rows if DEFAULT_MEMBERSHIP_TOL < row[2] <= solvers.NEWTON_HANDOVER]
+        assert len(above) > 1
+        assert attempts[:-1] == above
+        assert attempts[-1] <= DEFAULT_MEMBERSHIP_TOL < report.trace.rows[0][2]
+
+    @pytest.mark.parametrize(
+        ("dim", "n", "p", "c"),
+        [(1, 201, 16.0, 0.4289054073527145), (3, 401, 30.0, 1.9532852952322561)],
+        ids=["dim1", "dim3"],
+    )
+    def test_near_constant_weight_above_p_star_certifies(self, dim, n, p, c):
+        # a = 1 + 0.001 r above the bifurcation threshold p* = 1 + lambda_2:
+        # Newton trials are rejected on the way down from the constant's ray
+        # maximum, and a run that gave up on Newton at the first of them
+        # stalled not-critical (47 rows in dim 1, 62 in dim 3).  The
+        # certified profile is nonconstant, below the constant's level
+        spec = _neumann(n, dim, p, 0.001)
+        cert, report = hx.run_problem(spec)
+        assert report.reason == "vi_residual"
+        assert cert.verdict == "certified"
+        assert cert.mountain_pass_value == pytest.approx(c, rel=1e-9)
+        constant = solvers.ray_rescale(spec, spec.function(np.ones(spec.grid.size)))
+        assert cert.mountain_pass_value < hx.energy(spec, constant) - 1e-3
+
+    @pytest.mark.parametrize(
+        "solve_shifted",
+        [
+            pytest.param(_singular_solve, id="singular"),
+            pytest.param(lambda op, shift, rhs: np.full_like(rhs, np.inf), id="non-finite-trial"),
+            # the trial u + 1e200 is a constant, in the cone, whose energy overflows
+            pytest.param(lambda op, shift, rhs: np.full_like(rhs, -1e200), id="non-finite-energy"),
+        ],
+    )
+    def test_newton_guards_reject_and_the_run_goes_on(self, monkeypatch, solve_shifted):
+        monkeypatch.setattr(hx.EllipticOperator, "solve_shifted", solve_shifted)
+        results = []
+        newton = solvers._newton_step
+        monkeypatch.setattr(solvers, "_newton_step", lambda *args: results.append(newton(*args)) or results[-1])
+        cert, report = hx.run_problem(_neumann(801, 3, 3.0, 3.0))
+        assert len(results) > 1
+        assert results == [None] * len(results)
         assert report.reason == "vi_residual"
         assert cert.verdict == "certified"
 
