@@ -87,7 +87,8 @@ def vi_residual(spec: ProblemSpec, K: ConvexSet, u: GridFunction) -> float:
     certifies u as a discrete constrained critical point.  For the ball the
     infimum is attained in closed form at -r G/||G||_h2 with G the h2 Riesz
     representative of g; for the cone it is attained at a step-function
-    vertex of the cone boxed by ``cone_box_bound``.
+    vertex of the cone boxed by ``cone_box_bound``.  On the ball, a
+    residual whose ``riesz_norm`` overflows comes back infinite.
     """
     if not contains(K, u, DEFAULT_MEMBERSHIP_TOL):
         raise MembershipError("vi_residual requires a point inside the constraint set")

@@ -87,11 +87,15 @@ def contains(K: ConvexSet, u: GridFunction, tol: float = DEFAULT_MEMBERSHIP_TOL)
 
 
 def project_ball(K: H2Ball, u: GridFunction) -> GridFunction:
-    """Exact metric projection onto the ball in its own h2 inner product."""
+    """Exact metric projection onto the ball in its own h2 inner product.
+    ``OverflowError`` when u's h2 norm overflows: scaling by r / inf would
+    give the zero profile."""
     _check_set_grid(K, u)
     nrm = K.geometry.norm(u)
     if nrm <= K.r:
         return u
+    if not np.isfinite(nrm):
+        raise OverflowError("the h2 norm of the point to project overflows")
     return u.with_values(u.values * (K.r / nrm))
 
 

@@ -48,9 +48,9 @@ BALL_FAMILIES = (CONCAVE_CONVEX, NONHOMOGENEOUS)
 # ProblemSpec.operator's cache: grid -> {bc: operator}.  Its keys
 # are weak and matched by equality, so an operator, with every factor cached
 # on it, lives as long as the grid it was first built for, and after that as
-# long as a spec holds it.  A held radial grid at n = 51201 so keeps about
-# 20 MB alive.  Each operator is built on a copy of its key grid, so no entry
-# keeps its own key alive.
+# long as a spec holds it.  A held radial grid at dim 3, n = 51201 so keeps
+# about 10 MB alive.  Each operator is built on a copy of its key grid, so no
+# entry keeps its own key alive.
 _OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -148,9 +148,9 @@ class ProblemSpec:
         The operator and its cached factors stay alive while the grid they
         were first built for lives, so a sweep that holds one grid and makes
         a spec per parameter builds and factors once.  A held grid keeps
-        them in memory: at n = 51201 that is about 20 MB with both factors
-        (RSS).  Once that grid and every spec holding the operator are gone,
-        refcounting frees it, with no garbage collection needed."""
+        them in memory: at dim 3, n = 51201 that is about 10 MB with both
+        factors (RSS).  Once that grid and every spec holding the operator
+        are gone, refcounting frees it, with no garbage collection needed."""
         ops = _OPERATORS.setdefault(self.grid, {})
         op = ops.get(self.bc)
         if op is None:
@@ -335,11 +335,14 @@ class H2Geometry:
         self._last: tuple[GridFunction, float] | None = None
 
     def h2_norm_sq(self, values: np.ndarray) -> float:
+        """The squared h2 norm; one that overflows comes back non-finite,
+        without a warning."""
         op = self.op
         v = np.asarray(values, dtype=float)
         av = op.apply(v)
-        semi = float(v @ (op.stiffness @ v))
-        return float(np.dot(op.weights, v * v) + semi + np.dot(op.weights, av * av))
+        with np.errstate(over="ignore", invalid="ignore"):
+            semi = float(v @ (op.stiffness @ v))
+            return float(np.dot(op.weights, v * v) + semi + np.dot(op.weights, av * av))
 
     def h2_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(max(self.h2_norm_sq(values), 0.0)))
@@ -363,7 +366,9 @@ class H2Geometry:
         return out
 
     def riesz_norm(self, g_values: np.ndarray) -> tuple[np.ndarray, float]:
-        """Riesz representative G of g and its h2 norm (via <G, W g>)."""
+        """Riesz representative G of g and its h2 norm (via <G, W g>), which
+        comes back infinite, without a warning, where it overflows."""
         G = self.riesz(g_values)
-        nrm_sq = float(np.dot(G, self.op.weights * g_values))
+        with np.errstate(over="ignore"):
+            nrm_sq = float(np.dot(G, self.op.weights * g_values))
         return G, float(np.sqrt(max(nrm_sq, 0.0)))

@@ -30,7 +30,6 @@ from functools import cache, cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 DIRICHLET_ZERO = "dirichlet-zero"
 NEUMANN_ZERO = "neumann-zero"
@@ -498,26 +497,24 @@ class EllipticOperator:
         with ``gram`` of the H^2 Gram matrix H = W + S + F W^-1 F.
 
         On the square it is the sine basis (there H = h^2 I + K + K^2 / h^2).
-        On radial grids the form gets a sparse LU factor, and H, never
-        assembled, is solved through F's bands: with S = F (``-Lap``),
-        H = W q(A) for A = W^-1 F and 1 / q(t) = 1 / (t^2 + t + 1)
-        = (2 / sqrt 3) Im 1 / (t - omega), omega = e^(2 pi i / 3), so
-        x = (2 / sqrt 3) Im (F - omega W)^-1 b, one complex tridiagonal
-        factor.  An LU of the assembled H, whose F W^-1 F term squares the
-        condition of F, is far less accurate: at dim 3, n = 201 its relative
-        error is 9.3e-10, against 1.3e-13 here."""
+        On radial grids both are tridiagonal factors (``_gt_solver``) made
+        from F's bands: F's own, real, and for H, never assembled, a complex
+        one.  With S = F (``-Lap``), H = W q(A) for A = W^-1 F and
+        1 / q(t) = 1 / (t^2 + t + 1) = (2 / sqrt 3) Im 1 / (t - omega),
+        omega = e^(2 pi i / 3), so x = (2 / sqrt 3) Im (F - omega W)^-1 b.
+        An LU of the assembled H, whose F W^-1 F term squares the condition
+        of F, is far less accurate: at dim 3, n = 201 its relative error is
+        9.3e-10, against 1.3e-13 here."""
         if isinstance(self.grid, Square2DGrid):
             if gram:
                 h2 = self.grid.h**2
                 return sine_solver(self.grid, lambda lam: h2 + lam + lam * lam / h2)
             return sine_solver(self.grid, lambda lam: lam)
-        act = self._active_block
-        if not gram:
-            return spla.factorized(self.form[act, act].tocsc())
         lower, diag, upper = self._form_bands
-        w = self.weights[act]
+        if not gram:
+            return _gt_solver(lower, diag, upper)
         omega = complex(-0.5, math.sqrt(0.75))
-        solve_c = _gt_solver(lower, diag - omega * w, upper)
+        solve_c = _gt_solver(lower, diag - omega * self.weights[self._active_block], upper)
         return lambda b: (2.0 / math.sqrt(3.0)) * solve_c(b).imag
 
     @cached_property
@@ -608,16 +605,18 @@ class EllipticOperator:
 
 
 def _gt_solver(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-    """Solve with the complex tridiagonal matrix of the given bands by its
-    LAPACK ``gttrf`` factor (LU with partial pivoting), made once."""
+    """Solve with the tridiagonal matrix of the given bands, real or complex
+    as they are, by its LAPACK ``gttrf`` factor (LU with partial pivoting),
+    made once."""
+    gtsv, gttrf, gttrs = sla.get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (lower, diag, upper))
     if diag.size < 3:
-        # the zgttrf wrapper takes no fewer than three unknowns; zgtsv takes
+        # the gttrf wrappers take no fewer than three unknowns; gtsv takes
         # the bands as _form_bands pads them
-        return lambda b: sla.lapack.zgtsv(lower, diag, upper, b)[3]
-    *factor, info = sla.lapack.zgttrf(lower, diag, upper)
+        return lambda b: gtsv(lower, diag, upper, b)[3]
+    *factor, info = gttrf(lower, diag, upper)
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return lambda b: sla.lapack.zgttrs(*factor, b)[0]
+    return lambda b: gttrs(*factor, b)[0]
 
 
 def _read_only(*arrays) -> None:

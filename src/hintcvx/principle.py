@@ -320,12 +320,17 @@ def run_problem(spec: ProblemSpec, cfg: SolverConfig | None = None) -> tuple[Cer
     cert.vi_residual = trace.rows[-1][2]
 
     try:
-        v0, in_k, diag = step_ii_verify(spec, K, u0)
+        # a stage-ii number past the float range is an error, not a verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            v0, in_k, diag = step_ii_verify(spec, K, u0)
+            strong = strong_residual(spec, u0)
+        if not np.isfinite([diag["v0_h2"], strong, diag["eq10_defect"], diag["duality_gap"]]).all():
+            raise ValueError("a stage-ii number is not finite: it overflows")
         cert.v0 = v0
         cert.v0_in_K = in_k
         cert.u0_h2_norm = diag["u0_h2"]
         cert.v0_h2_norm = diag["v0_h2"]
-        cert.strong_residual = strong_residual(spec, u0)
+        cert.strong_residual = strong
         cert.eq10_defect = diag["eq10_defect"]
         cert.duality_gap = diag["duality_gap"]
     except (IterationLimitError, ValueError) as exc:

@@ -3,8 +3,8 @@
 and a Newton finish.  Every solve with A, in either stage, uses the solver
 cached on the operator (``EllipticOperator.form_solver``).  It and the H^2
 Gram solve of the fallback direction come from the operator's one backend:
-on radial grids a sparse LU factor of the form and one complex tridiagonal
-(``gttrf``) factor for the Gram matrix, sine-basis diagonalisation on the
+on radial grids tridiagonal (``gttrf``) factors, a real one of the form and
+a complex one for the Gram matrix, sine-basis diagonalisation on the
 square.  The Newton system is tridiagonal on radial grids and solved there
 by the same backend module (``EllipticOperator.solve_shifted``).
 
@@ -93,7 +93,7 @@ class IterationLimitError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """The starting point of stage i has a non-finite energy."""
+    """The starting point of stage i has a non-finite energy or VI residual."""
 
 
 class MPGError(ValueError):
@@ -195,15 +195,20 @@ def _backtrack(spec: ProblemSpec, K: ConvexSet, u: GridFunction, directions, res
     For each direction d in turn, yields (cand, I(cand), tau) for every
     trial cand = P_K(u - tau d), passed through ``rescale`` when given, at
     tau = STEP0, STEP0 SHRINK, ... (MAX_BACKTRACKS sizes) whose energy is
-    finite.  A step rule takes the first trial its own test admits.
+    finite.  A trial whose projection or rescaling overflows is skipped as
+    one with a non-finite energy.  A step rule takes the first trial its
+    own test admits.
     """
     for direction in directions:
         tau = STEP0
         for _ in range(MAX_BACKTRACKS):
-            cand = project(K, u.with_values(u.values - tau * direction))
-            if rescale is not None:
-                cand = rescale(cand)
-            cand_value = energy(spec, cand)
+            try:
+                cand = project(K, u.with_values(u.values - tau * direction))
+                if rescale is not None:
+                    cand = rescale(cand)
+                cand_value = energy(spec, cand)
+            except OverflowError:
+                cand_value = np.inf
             if np.isfinite(cand_value):
                 yield cand, cand_value, tau
             tau *= SHRINK
@@ -269,6 +274,8 @@ def _descend(spec: ProblemSpec, K: ConvexSet, u: GridFunction, value: float, cfg
     """
     trace = IterTrace()
     rho = vi_residual(spec, K, u)
+    if not np.isfinite(rho):
+        raise DivergenceError("initial VI residual is not finite: it overflows")
     trace.append(0, value, rho, float("nan"), spec.geometry.norm(u))
     newton = spec.operator.has_banded_form
     for k in range(1, cfg.max_iters + 1):
@@ -323,7 +330,11 @@ def projected_gradient_minimize(
             # clamped to be a decrease
             pred = float(wg @ (cand.values - u.values))
             if pred <= 0.0 and cand_value <= value + ARMIJO_C * pred:
-                return cand, cand_value, tau, vi_residual(spec, K, cand)
+                # _descend records and compares the accepted point's VI
+                # residual, so a trial whose residual overflows is not taken
+                cand_rho = vi_residual(spec, K, cand)
+                if np.isfinite(cand_rho):
+                    return cand, cand_value, tau, cand_rho
         return None
 
     u, trace = _descend(spec, K, u_init, value, cfg, armijo_step)

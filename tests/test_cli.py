@@ -11,6 +11,8 @@ from hintcvx import cli
 from hintcvx.cli import main, parse_config
 from hintcvx.principle import certified_at_amplitude
 
+from conftest import OVERFLOWING_STARTS
+
 
 def base_config(out_dir, n=41, mu=0.2, r=None, family="concave-convex"):
     problem = {
@@ -508,6 +510,18 @@ class TestFloatRangeEnds:
         assert proc.returncode == 1
         assert proc.stderr.startswith("solve:") and "float range" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("dim, p, r", OVERFLOWING_STARTS)
+    def test_solve_whose_start_overflows_writes_its_certificate(self, tmp_path, dim, p, r):
+        problem = {"family": "nonhomogeneous", "grid": {"kind": "radial", "n": 41, "dim": dim}, "p": p, "r": r}
+        problem["f"] = {"kind": "sin-pi"}
+        doc = {"schema_version": 1, "problem": problem, "output_dir": str(tmp_path / "out")}
+        proc = self.run_cli("solve", "--config", str(write_config(tmp_path, doc)))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        text = (tmp_path / "out" / "certificate.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text)["error"] == "solve: initial VI residual is not finite: it overflows"
 
     def test_probe_with_default_radius_past_float_range(self, tmp_path):
         proc = self.run_config(tmp_path, "probe-lambda", "nonhomogeneous")

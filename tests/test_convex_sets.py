@@ -132,6 +132,14 @@ class TestBallProjection:
         proj = hx.project_ball(ball, double)
         np.testing.assert_allclose(proj.values, double.values / 2.0, rtol=1e-12)
 
+    def test_overflowing_norm_is_refused(self, ball, grid1d):
+        # the squared h2 norm of a 1e200 profile overflows, to inf or to nan
+        # (inf - inf); scaling by r / inf would return the zero profile
+        u = random_dirichlet(grid1d, 5, scale=1e200)
+        assert not np.isfinite(ball.geometry.h2_norm(u.values))
+        with pytest.raises(OverflowError, match="overflows"):
+            hx.project_ball(ball, u)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_idempotent(self, ball, grid1d, seed):
         u = random_dirichlet(grid1d, seed, scale=10.0)

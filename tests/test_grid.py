@@ -434,11 +434,11 @@ class TestSineBasisSolves:
     )
     def test_form_and_gram_match_sparse_solves(self, op):
         # both systems go through the operator's one backend: the sine basis
-        # on the square; on radial grids sparse LU for the form and banded
-        # factors of F for the Gram matrix, which only a dirichlet-zero
-        # operator has.  The references are refined in extended precision:
-        # an LU of the assembled Gram matrix alone is off by 9.3e-10
-        # relative at dim 3, n = 201.
+        # on the square; on radial grids tridiagonal factors of F's bands,
+        # real for the form and complex for the Gram matrix, which only a
+        # dirichlet-zero operator has.  The references are refined in
+        # extended precision: an LU of the assembled Gram matrix alone is
+        # off by 9.3e-10 relative at dim 3, n = 201.
         idx = np.flatnonzero(op.active)
         b = np.random.default_rng(op.grid.size).standard_normal(op.grid.size)
         w = op.weights[idx]
@@ -484,11 +484,22 @@ class TestSineBasisSolves:
             hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.DIRICHLET_ZERO),
             hx.build_radial_laplacian(hx.RadialGrid(n=41, dim=3), hx.NEUMANN_ZERO),
             hx.build_radial_laplacian(hx.RadialGrid(n=3), hx.DIRICHLET_ZERO),
+            hx.build_radial_laplacian(hx.RadialGrid(n=4), hx.DIRICHLET_ZERO),
+            hx.build_radial_laplacian(hx.RadialGrid(n=3), hx.NEUMANN_ZERO),
         ],
-        ids=["radial-dim1-dirichlet", "radial-dim3-dirichlet", "radial-dim3-neumann", "one-active-node"],
+        ids=[
+            "radial-dim1-dirichlet",
+            "radial-dim3-dirichlet",
+            "radial-dim3-neumann",
+            "one-active-node",
+            "two-active-nodes",
+            "three-active-nodes",
+        ],
     )
     def test_shifted_solve_matches_sparse_solve(self, op):
-        # the Newton system (form - W diag(c)) x = W b on active nodes
+        # the Newton system (form - W diag(c)) x = W b on active nodes; with
+        # no shift it is the form solve, whose factor takes gtsv's path below
+        # three active nodes and gttrf's from three on
         idx = np.flatnonzero(op.active)
         rng = np.random.default_rng(op.grid.size)
         b, c = rng.standard_normal(op.grid.size), rng.uniform(0.0, 5.0, op.grid.size)
@@ -542,10 +553,9 @@ class TestSineBasisSolves:
         # operator_counts empties the operator cache, so the runs below
         # build the square's operator and its solvers under the patch
         def refuse(*args, **kwargs):
-            raise AssertionError("sparse factorization on the square")
+            raise AssertionError("tridiagonal factorization on the square")
 
-        monkeypatch.setattr(spla, "factorized", refuse)
-        monkeypatch.setattr(spla, "splu", refuse)
+        monkeypatch.setattr("hintcvx.grid._gt_solver", refuse)
         g = hx.Square2DGrid(m=12)
         specs = [
             hx.ProblemSpec(family="concave-convex", grid=g, p=3.0, q=1.5, mu=0.5 * mu_star(1.0, 3.0, 1.5)),
@@ -557,7 +567,7 @@ class TestSineBasisSolves:
             cert, _ = run_problem(spec)
             assert cert.verdict == "certified"
         # the same patch does catch the radial grids' factor
-        with pytest.raises(AssertionError, match="sparse factorization"):
+        with pytest.raises(AssertionError, match="tridiagonal factorization"):
             hx.build_radial_laplacian(hx.RadialGrid(n=9), hx.DIRICHLET_ZERO).form_solver
 
     def test_concave_convex_certifies_at_prime_m_plus_one(self):

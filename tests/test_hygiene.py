@@ -115,8 +115,10 @@ def test_dead_name_scan_finds_orphans():
 
 def test_import_loads_no_heavy_scipy_module():
     # scipy.optimize costs 0.24-0.32 s and 16 MB to import, scipy.fft
-    # 0.09 s and 3.7 MB; the package needs neither
-    probe = "import sys, hintcvx; print(sorted({'scipy.fft', 'scipy.optimize'} & set(sys.modules)))"
+    # 0.09 s and 3.7 MB, scipy.sparse.linalg about 10 ms after scipy.sparse;
+    # the package needs none of them
+    heavy = "{'scipy.fft', 'scipy.optimize', 'scipy.sparse.linalg'}"
+    probe = f"import sys, hintcvx; print(sorted({heavy} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe], cwd=ROOT, capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -133,11 +135,12 @@ def imported_modules(source: str) -> set[str]:
 
 def test_one_module_holds_the_linear_algebra():
     # every solve, with the form or the H^2 Gram matrix, is built by the
-    # operator's backend in grid.py
+    # operator's backend in grid.py, from LAPACK's tridiagonal routines on
+    # radial grids and the sine basis on the square: no sparse factor
     sources = {p.name: p.read_text() for p in (ROOT / "src/hintcvx").glob("*.py")}
-    for module in ("scipy.sparse.linalg", "scipy.linalg"):
-        users = sorted(name for name, src in sources.items() if module in imported_modules(src))
-        assert users == ["grid.py"], module
+    imports = {name: imported_modules(src) for name, src in sources.items()}
+    assert not [name for name, mods in imports.items() if "scipy.sparse.linalg" in mods]
+    assert sorted(name for name, mods in imports.items() if "scipy.linalg" in mods) == ["grid.py"]
     assert not any(m.startswith("scipy.sparse") for m in imported_modules(sources["functionals.py"]))
 
 

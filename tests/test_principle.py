@@ -1,6 +1,8 @@
 import collections
+import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from hintcvx.principle import (
     step_ii_verify,
     strong_residual,
 )
+
+from conftest import OVERFLOWING_STARTS
 
 
 def window_defect(C1, mu, p, q):
@@ -183,6 +187,51 @@ class TestStepII:
         cert, _ = run_problem(spec)
         assert cert.error is None
         assert cert.v0_in_K is not None
+
+
+def _sin_forcing(dim, p, r):
+    g = hx.RadialGrid(n=41, dim=dim)
+    f = hx.GridFunction(g, np.sin(np.pi * g.nodes), hx.NEUMANN_ZERO)
+    return hx.ProblemSpec(family="nonhomogeneous", grid=g, p=p, f=f, r=r)
+
+
+def _run_without_warnings(spec):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cert, report = run_problem(spec)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    text = json.dumps(cert.to_json_dict())
+    assert "Infinity" not in text and "NaN" not in text
+    return cert, report
+
+
+class TestOverflow:
+    """Runs whose numbers leave the float range end in a certificate that
+    says so, with no RuntimeWarning and no non-finite number in it."""
+
+    @pytest.mark.parametrize("dim, p, r", OVERFLOWING_STARTS)
+    def test_start_whose_vi_residual_overflows_is_an_error(self, dim, p, r):
+        cert, report = _run_without_warnings(_sin_forcing(dim, p, r))
+        assert cert.error == "solve: initial VI residual is not finite: it overflows"
+        assert cert.verdict == VERDICT_NOT_CRITICAL
+        assert report.reason == "error"
+
+    def test_trials_whose_vi_residual_overflows_are_not_taken(self):
+        # Armijo admits trials here whose VI residual overflows; taking one,
+        # the run recorded an infinite residual and stage ii an infinite
+        # strong residual
+        cert, report = _run_without_warnings(_sin_forcing(1, 200.0, 100.0))
+        assert cert.error is None
+        assert cert.verdict == VERDICT_NOT_CRITICAL
+        assert report.reason == "line-search-stalled"
+
+    def test_stage_ii_overflow_is_an_error(self):
+        # stage i ends at VI 9.5e140; A u0 - Phi'(u0) there has a weighted
+        # norm past the float range
+        cert, report = _run_without_warnings(_sin_forcing(3, 50.0, 1e4))
+        assert cert.error == "step-ii: a stage-ii number is not finite: it overflows"
+        assert cert.strong_residual is None and cert.v0 is None
+        assert report.reason == "line-search-stalled"
 
 
 class TestRunProblem:
