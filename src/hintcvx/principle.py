@@ -32,7 +32,6 @@ from .functionals import (
     ProblemSpec,
     energy_grad,
     phi_grad,
-    phi_hess,
 )
 from .grid import GridFunction, RadialGrid, weighted_inner
 from .solvers import (
@@ -60,11 +59,11 @@ PROBE_S_START = 1e-2
 PROBE_DOUBLINGS = 40
 PROBE_GROWTH = 8.0
 PROBE_RESOLUTION = 2.0**-24
-# _sphere_amplitude, the bordered Newton solve that places the probe's
+# _sphere_amplitude, the fixed-point iteration that places the probe's
 # first pair of runs: its most steps, and the relative size of the step
 # that ends it
-PROBE_NEWTON_STEPS = 20
-PROBE_NEWTON_TOL = PROBE_RESOLUTION / 256
+PROBE_FIXED_POINT_STEPS = 20
+PROBE_FIXED_POINT_TOL = PROBE_RESOLUTION / 256
 
 
 def _validate_window_params(C1: float, mu: float, p: float, q: float) -> None:
@@ -406,62 +405,56 @@ def _sphere_amplitude(unit: ProblemSpec, z: np.ndarray, s: float, bound: float) 
     """Amplitude s* where the unconstrained solution branch u(s) of
     A u - Phi'_0(u) = s f_dir reaches the sphere ||u||_h2 = bound, Phi'_0
     being Phi' without the forcing; ``unit`` is the template at amplitude
-    1, whose forcing is f_dir, on a grid with ``has_banded_form``.
+    1, whose forcing is f_dir, and z = A^-1 f_dir.
 
-    Newton on that equation bordered with N(u) = (||u||_h2^2 - bound^2) / 2
-    = 0 (Keller, 1977; Allgower & Georg, 1990), from s and u = s z,
-    z = A^-1 f_dir.  A step solves J a = f_dir and J b = g, J = A -
-    diag(Phi''_0(u)) and g the equation's residual, and with N's gradient
-    H u = u + A u + A (A u) in the weighted pairing takes
-    ds = (<H u, b>_w - N) / <H u, a>_w, u <- u - b + ds a and s <- s + ds,
-    so that the step's linearisation of N vanishes.  It ends once ds and
-    the step in u are within PROBE_NEWTON_TOL of s and u.
+    The fixed point u = A^-1 Phi'_0(u) + s z (Sattinger's monotone
+    iteration, 1972), with s chosen at each step to keep u on the sphere:
+    from u = s z, a step solves v = A^-1 Phi'_0(u) with the form's cached
+    factor and takes u <- v + s z, s the larger root of the quadratic
+    ||v + s z||_h2^2 = bound^2, whose cross term pairs v with
+    H z = z + A z + A (A z) in the weighted pairing.  It ends once the
+    steps in s and u are within PROBE_FIXED_POINT_TOL of s and u.
 
-    Returns None, with a warning that names the cause, when J or the
-    bordered matrix is singular, a number is not finite, the solve does
-    not converge within PROBE_NEWTON_STEPS, or it ends at s* <= 0: the
-    branch folds back before it reaches the sphere."""
+    Returns None, with a warning that names the cause, when a number is not
+    finite, the quadratic has no real root (the branch folds back before
+    it reaches the sphere), the iteration does not converge within
+    PROBE_FIXED_POINT_STEPS, or it ends at s* <= 0."""
     op, w = unit.operator, unit.weights
     f_dir = unit.f.values
+    az = op.apply(z)
+    hz = z + az + op.apply(az)
+    zz = weighted_inner(w, hz, z)
     u = s * z
-    cause = f"did not converge in {PROBE_NEWTON_STEPS} steps"
+    cause = f"did not converge in {PROBE_FIXED_POINT_STEPS} steps"
     # a step that overflows is caught by the finiteness test below
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, PROBE_NEWTON_STEPS + 1):
-            uf = unit.function(u)
-            au = op.apply(u)
+        for step in range(1, PROBE_FIXED_POINT_STEPS + 1):
             try:
                 # phi_grad of the unit spec adds f_dir once
-                g = au - phi_grad(unit, uf).values - (s - 1.0) * f_dir
-                shift = phi_hess(unit, uf)
-                a = op.solve_shifted(shift, f_dir)
-                b = op.solve_shifted(shift, g)
-            except np.linalg.LinAlgError:
-                cause = "met a singular J"
-                break
+                v = op.solve_form(phi_grad(unit, unit.function(u)).values - f_dir)
             except ValueError:  # phi_grad's overflow
                 cause = "met a number that is not finite"
                 break
-            hu = u + au + op.apply(au)
-            n_val = 0.5 * (unit.geometry.h2_norm_sq(u) - bound * bound)
-            dn_ds = weighted_inner(w, hu, a)
-            if dn_ds == 0.0:
-                cause = "met a singular bordered matrix"
+            vz = weighted_inner(w, hz, v)
+            disc = vz * vz - zz * (unit.geometry.h2_norm_sq(v) - bound * bound)
+            if disc < 0.0:
+                cause = "found no real root of the sphere's quadratic, past a fold before the sphere"
                 break
-            ds = (weighted_inner(w, hu, b) - n_val) / dn_ds
-            du = ds * a - b
-            u, s = u + du, s + ds
+            s_next = (math.sqrt(disc) - vz) / zz
+            u_next = v + s_next * z
+            ds, du = s_next - s, u_next - u
+            u, s = u_next, s_next
             if not (math.isfinite(s) and np.isfinite(u).all()):
                 cause = "met a number that is not finite"
                 break
-            tol = PROBE_NEWTON_TOL
+            tol = PROBE_FIXED_POINT_TOL
             if abs(ds) <= tol * abs(s) and np.max(np.abs(du)) <= tol * np.max(np.abs(u)):
                 if s <= 0.0:
                     cause = f"ended at s* = {s:.6g} <= 0, past a fold before the sphere"
                     break
-                logger.info("forcing probe: bordered Newton reached s* = %.9g in %d steps", s, step)
+                logger.info("forcing probe: the fixed-point iteration reached s* = %.9g in %d steps", s, step)
                 return float(s)
-    logger.warning("forcing probe: bordered Newton %s; searching by bracket", cause)
+    logger.warning("forcing probe: the fixed-point iteration %s; searching by bracket", cause)
     return None
 
 
@@ -483,17 +476,17 @@ def forcing_threshold_probe(
 
     Below the root the ball does not bind, so u0 solves the unconstrained
     equation and v0 = u0: the root is the amplitude s* where that solution
-    branch reaches the sphere ||u||_h2 = ball_bound(r).  On radial grids
-    ``_sphere_amplitude`` solves for s* by bordered Newton from the
-    tangent's root, and two runs confirm it, PROBE_RESOLUTION / 4 below
-    and above s*: a bracket the stop rule below accepts.  When the lower
-    certifies and the upper fails, the lower is lambda_hat, after 2 runs.
+    branch reaches the sphere ||u||_h2 = ball_bound(r).  On every grid
+    ``_sphere_amplitude`` solves for s* by a fixed-point iteration on the
+    form's cached solve, from the tangent's root, and two runs confirm it,
+    PROBE_RESOLUTION / 4 below and above s*: a bracket the stop rule below
+    accepts.  When the lower certifies and the upper fails, the lower is
+    lambda_hat, after 2 runs.
 
     Otherwise (no s*, or a confirming run that disagrees, which is logged
     as a warning) the bracket search goes on from the runs made so far;
-    without s*, its first run is at the tangent's root.  The square has no
-    tridiagonal Jacobian and always searches.  The search keeps one
-    bracket [certified, failed], starting as [0, inf).  It takes secant
+    without s*, its first run is at the tangent's root.  The search keeps
+    one bracket [certified, failed], starting as [0, inf).  It takes secant
     steps on the last two margins that agree with their verdicts, kept
     inside the bracket and at least half a resolution from either end
     (Dekker's method as Brent, 1973, safeguards it).  It bisects when an
@@ -557,9 +550,7 @@ def forcing_threshold_probe(
     gallop = 0
     # the first amplitude is the tangent's root, not a secant step
     s = s1 = min(margin0 / slope, s_max) if slope > 0.0 else s_max
-    s_star = None
-    if unit.operator.has_banded_form and slope > 0.0:
-        s_star = _sphere_amplitude(unit, z, s1, margin0)
+    s_star = _sphere_amplitude(unit, z, s1, margin0) if slope > 0.0 else None
     # the runs that confirm s*, a quarter resolution below and above it, in
     # the order they run; the bracket they make meets the stop rule
     confirm = []

@@ -639,7 +639,7 @@ class TestForcingProbe:
 
     @staticmethod
     def bracket_only(monkeypatch, s_star=None):
-        """Switch the bordered Newton solve off, so the probe runs the
+        """Switch the fixed-point solve of s* off, so the probe runs the
         bracket search from the tangent's root; or, with s_star, have it
         return that amplitude."""
         monkeypatch.setattr(principle, "_sphere_amplitude", lambda *args: s_star)
@@ -647,7 +647,7 @@ class TestForcingProbe:
     @classmethod
     def model_pipeline(cls, monkeypatch, model, s_star=None):
         """Stand in for run_problem: model(s) gives the verdict at forcing
-        amplitude s and ||v0||_h2 (None for no v0).  The bordered solve,
+        amplitude s and ||v0||_h2 (None for no v0).  The solve of s*,
         which knows only the real problem, is switched off, or returns
         s_star."""
 
@@ -664,7 +664,7 @@ class TestForcingProbe:
         # lambda_hat ~ 4.74e-3 lies below PROBE_S_START; the bisection took 26
         # pipelines (0, 1e-2 and 24 halvings) and returned 0.004742395878.
         # The margin is concave, so its tangent's root overshoots lambda_hat;
-        # that is the bracket search's first run, with the bordered solve off
+        # that is the bracket search's first run, with the solve of s* off
         self.bracket_only(monkeypatch)
         spec = self.make_template(n=201)
         evals = []
@@ -676,7 +676,7 @@ class TestForcingProbe:
         assert lam == pytest.approx(0.004742395878, rel=1e-7)
 
     def test_first_amplitude_fails_newton_path(self):
-        # the same threshold from the bordered solve: its two confirming runs
+        # the same threshold from the solve of s*: its two confirming runs
         spec = self.make_template(n=201)
         evals = []
         lam = hx.forcing_threshold_probe(spec, 0.005, hx.SolverConfig(), trace_out=evals)
@@ -688,8 +688,8 @@ class TestForcingProbe:
         # dim 2, n=801, p=3, r=3, f = r (1 - r^2): at s = 1.99767 a Newton
         # trial takes the VI from 1.5e-7 to 3.7e-15 and raises the energy by
         # 1.5e-13; a probe whose pipeline rejects that trial ends there
-        # not-critical and returns 1.97686 after 30 pipelines.  The bordered
-        # Newton solve of the threshold gives 2.6635563
+        # not-critical and returns 1.97686 after 30 pipelines.  The solve of
+        # the threshold s* and its confirming pair give 2.6635563
         g = hx.RadialGrid(n=801, dim=2)
         f = hx.GridFunction(g, g.nodes * (1.0 - g.nodes**2), hx.NEUMANN_ZERO)
         spec = hx.ProblemSpec(family="nonhomogeneous", grid=g, p=3.0, f=f)
@@ -904,37 +904,63 @@ class TestForcingProbe:
         assert len(dict(evals)) == len(evals)
         assert "certified; searching by bracket" in caplog.text
 
-    @pytest.mark.parametrize("r, cause", [(30.0, "ended at s* = -2.99628 <= 0"), (100.0, "did not converge")])
+    @pytest.mark.parametrize("r, cause", [(30.0, "ended at s* = -2.99628 <= 0"), (100.0, "found no real root")])
     def test_fold_before_the_sphere(self, caplog, r, cause):
         # dim 1, p=4: the branch folds at s ~ 9.6718, inside the ball; the
-        # bordered solve ends at s* ~ -3.0 (r=30) or does not converge
-        # (r=100), and the bracket search finds the fold amplitude
+        # fixed-point iteration ends at s* ~ -3.0 (r=30) or meets a sphere
+        # quadratic with no real root (r=100), and the bracket search finds
+        # the fold amplitude
         evals = []
         with caplog.at_level("WARNING", logger="hintcvx.principle"):
             lam = hx.forcing_threshold_probe(self.make_template(), r, hx.SolverConfig(), trace_out=evals)
         assert lam == pytest.approx(9.6718095, rel=1e-7)
         self.check_bracket(evals, lam)
-        assert f"bordered Newton {cause}" in caplog.text
+        assert f"fixed-point iteration {cause}" in caplog.text
 
     def test_far_past_the_fold_raises(self):
         with pytest.raises(RuntimeError, match="no forcing amplitude certifies at r = 300, not even zero"):
             hx.forcing_threshold_probe(self.make_template(), 300.0, hx.SolverConfig())
 
-    def test_square_keeps_the_bracket(self, monkeypatch):
-        # the square has no tridiagonal J: the bracket search's three runs
-        calls = []
-        monkeypatch.setattr(principle, "_sphere_amplitude", lambda *args: calls.append(args))
-        g = hx.Square2DGrid(m=15)
+    @staticmethod
+    def square_template(m=15):
+        g = hx.Square2DGrid(m=m)
         xs, ys = g.nodes
         f = hx.GridFunction(g, np.sin(np.pi * xs) * np.sin(np.pi * ys), hx.DIRICHLET_ZERO)
-        spec = hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f)
+        return hx.ProblemSpec(family="nonhomogeneous", grid=g, p=4.0, f=f)
+
+    def test_square_confirms_in_two_runs(self):
+        # the square solves for s* with the same cached form solve; the
+        # bracket search below returned 0.4871262214490548 after 3 runs
         evals = []
-        lam = hx.forcing_threshold_probe(spec, 0.5, hx.SolverConfig(), trace_out=evals)
+        lam = hx.forcing_threshold_probe(self.square_template(), 0.5, hx.SolverConfig(), trace_out=evals)
+        assert [ok for _, ok in evals] == [True, False]
+        assert lam == evals[0][0]
+        assert lam == pytest.approx(0.4871262214490548, rel=PROBE_RESOLUTION)
+
+    def test_square_bracket_keeps_its_log(self, monkeypatch):
+        # with the solve of s* off the square runs the bracket search's
+        # three runs
+        self.bracket_only(monkeypatch)
+        evals = []
+        lam = hx.forcing_threshold_probe(self.square_template(), 0.5, hx.SolverConfig(), trace_out=evals)
         assert [ok for _, ok in evals] == [False, False, True]
         logged = [0.48716038462514427, 0.48712623596654786, 0.4871262214490548]
         assert [s for s, _ in evals] == pytest.approx(logged, rel=1e-9)
         assert lam == evals[-1][0]
-        assert calls == []
+
+    def test_sphere_amplitude_needs_no_jacobian(self, monkeypatch):
+        # s* from the form's cached solve alone: with the shifted solve
+        # refused, _sphere_amplitude returns the amplitude that bordered
+        # Newton on the Jacobian J = A - diag(Phi''_0(u)) returned
+        def refuse(*args):
+            raise AssertionError("the solve of s* needs no Jacobian solve")
+
+        monkeypatch.setattr(hx.EllipticOperator, "solve_shifted", refuse)
+        unit = principle._amplitude_spec(self.make_template(), 0.5, 1.0)
+        z = unit.operator.solve_form(unit.f.values)
+        bound = convex_sets.ball_bound(0.5)
+        s_star = principle._sphere_amplitude(unit, z, bound / unit.geometry.h2_norm(z), bound)
+        assert s_star == pytest.approx(0.4740600404618637, rel=1e-12)
 
     def test_family_check(self, grid1d):
         spec = hx.ProblemSpec(family="concave-convex", grid=grid1d, p=4.0, q=1.5, mu=0.1)
